@@ -130,8 +130,8 @@ func TestExplainReconcilesCNF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Engine() != nil {
-		t.Fatal("disjunctive plan should use the CNF engine")
+	if s.Engine() == nil {
+		t.Fatal("disjunctive plan has no engine")
 	}
 	ex := NewExplainCollector("online")
 	s.AttachExplain(ex)
@@ -141,6 +141,11 @@ func TestExplainReconcilesCNF(t *testing.T) {
 	p := reconcile(t, "cnf", s, ex)
 	if len(p.Predicates) != 2 {
 		t.Fatalf("CNF profile predicates = %d, want 2: %+v", len(p.Predicates), p.Predicates)
+	}
+	// Predicates are observed in clause order (a clause's objects, then
+	// its actions), not in map order.
+	if p.Predicates[0].Name != "obj:car" || p.Predicates[1].Name != "act:blowing_leaves" {
+		t.Fatalf("CNF profile predicate order = %s, %s", p.Predicates[0].Name, p.Predicates[1].Name)
 	}
 }
 

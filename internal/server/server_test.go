@@ -175,6 +175,41 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestDisjunctiveSessionCriticalValues: every VQL plan runs on the one
+// online engine, so a disjunctive session reports its per-object
+// critical values like a conjunctive one; the action value is reported
+// only when the plan has exactly one action predicate.
+func TestDisjunctiveSessionCriticalValues(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	status := func(where string) *CriticalValues {
+		var created SessionInfo
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", CreateSessionRequest{
+			Workload: "q2", Scale: 0.02,
+			Query: `SELECT MERGE(clipID) FROM (PROCESS cam PRODUCE clipID, obj, act) WHERE ` + where,
+		}, &created)
+		if code != http.StatusCreated {
+			t.Fatalf("%s: create status %d: %+v", where, code, created)
+		}
+		if res := pollDone(t, ts.URL, created.ID); res.State != StateDone {
+			t.Fatalf("%s: final state %q, want done", where, res.State)
+		}
+		var info SessionInfo
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+created.ID, nil, &info); code != http.StatusOK {
+			t.Fatalf("%s: status code %d", where, code)
+		}
+		if info.CriticalValues == nil {
+			t.Fatalf("%s: critical values missing", where)
+		}
+		return info.CriticalValues
+	}
+	if cv := status(`act = 'blowing_leaves' OR obj.include('car')`); cv.Objects["car"] <= 0 || cv.Action <= 0 {
+		t.Errorf("one-action disjunction: critical values %+v", cv)
+	}
+	if cv := status(`(act = 'blowing_leaves' OR act = 'drinking_beer') AND obj.include('car')`); cv.Objects["car"] <= 0 || cv.Action != 0 {
+		t.Errorf("two-action disjunction: critical values %+v", cv)
+	}
+}
+
 // buildRepo ingests two small synthetic videos into a repository. Both
 // are ingested with the union of the q2 and q4 label sets so that
 // cross-repository (merged) queries find every label in every video.

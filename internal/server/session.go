@@ -157,13 +157,11 @@ func (s *Session) step(c int) error {
 	s.clips = s.stream.ClipsProcessed()
 	s.invocations = s.stream.Invocations()
 	s.seqs = s.stream.Results()
-	if obj != nil {
-		if s.critObj == nil {
-			s.critObj = make(map[string]int, len(obj))
-		}
-		for l, k := range obj {
-			s.critObj[string(l)] = k
-		}
+	if s.critObj == nil {
+		s.critObj = make(map[string]int, len(obj))
+	}
+	for l, k := range obj {
+		s.critObj[string(l)] = k
 	}
 	s.critAct = act
 	s.broadcastLocked()

@@ -7,8 +7,11 @@
 // The engine consumes clips in order. For each clip it evaluates the
 // per-predicate indicators of Algorithm 2 — counting positive
 // per-frame object detections and per-shot action predictions against
-// the scan-statistics critical values k_crit (§3.2) — and merges
-// consecutive positive clips into result sequences (Equation 4).
+// the scan-statistics critical values k_crit (§3.2) — combines them
+// through the query's clauses (a conjunctive query is a list of
+// singleton clauses; footnotes 3–4 add disjunctions and several
+// actions) and merges consecutive positive clips into result sequences
+// (Equation 4).
 package svaq
 
 import (
@@ -49,19 +52,19 @@ type Config struct {
 	// 4000 frames for objects; the action estimator scales it by the
 	// shot length so both kernels span the same wall-clock extent).
 	KernelU float64
-	// ShortCircuit evaluates predicates sequentially and skips the rest
-	// of a clip once one predicate fails (Algorithm 2 lines 6–8),
+	// ShortCircuit skips the rest of a clip once one clause — one
+	// predicate of a conjunctive query — fails (Algorithm 2 lines 6–8),
 	// saving model invocations at the price of starving later
 	// predicates' estimators on negative clips. The ablation bench
 	// exercises both settings.
 	ShortCircuit bool
-	// AdaptiveOrder reorders the short-circuit pipeline online by
-	// ascending cost/(1−pass-rate) — the footnote 5 future work; see
-	// order.go. Only meaningful with ShortCircuit.
+	// AdaptiveOrder reorders the clause pipeline online by ascending
+	// cost/(1−pass-rate) — the footnote 5 future work; see order.go.
+	// Only meaningful with ShortCircuit.
 	AdaptiveOrder bool
-	// ExploreEvery forces every predicate to be evaluated on every
-	// n-th clip when both ShortCircuit and AdaptiveOrder are on, so the
-	// pass-rate estimates of late-pipeline predicates stay fresh
+	// ExploreEvery forces every clause to be evaluated on every n-th
+	// clip when both ShortCircuit and AdaptiveOrder are on, so the
+	// pass-rate estimates of late-pipeline clauses stay fresh
 	// (default 20).
 	ExploreEvery int
 	// ActionCostWeight scales the per-invocation cost of the action
@@ -138,53 +141,77 @@ func (c Config) trackerConfig(unitsPerClip int, p0, kernelU float64) TrackerConf
 	}
 }
 
+// Clause is one disjunction of simple predicates (footnotes 3–4): it is
+// satisfied on a clip when at least one of its predicates has a positive
+// indicator. A conjunctive query is a list of singleton clauses.
+type Clause struct {
+	// Objects and Actions list the clause's predicates; they are
+	// evaluated in that order, each list in slice order.
+	Objects []annot.Label
+	Actions []annot.Label
+}
+
 // ClipResult reports the evaluation of one clip (Algorithm 2).
 type ClipResult struct {
 	Clip     video.ClipIdx
 	Positive bool
-	// ObjectCounts holds, per evaluated object predicate, the number of
-	// frames in the clip with a positive prediction. Predicates skipped
-	// by short-circuiting are absent.
-	ObjectCounts map[annot.Label]int
-	// ActionCount is the number of shots with a positive action
-	// prediction; −1 when the action was skipped by short-circuiting.
-	ActionCount int
-	// RelationCounts holds, per evaluated relation predicate (footnote 2
-	// extension; see Engine.WithRelations), the number of frames on
-	// which the relation holds.
-	RelationCounts map[string]int
+	// Counts holds, per predicate in Engine.Predicates() order, the
+	// number of occurrence units of the clip (frames; shots for actions)
+	// with a positive prediction, or −1 for a predicate skipped by
+	// short-circuiting. The slice belongs to the engine and is
+	// overwritten by the next ProcessClip.
+	Counts []int
 	// Invocations counts model calls spent on this clip (object
 	// detector calls plus action recognizer calls).
 	Invocations int
 }
 
-// Engine processes one video stream for one query.
+// predKind distinguishes the three predicate families of the engine.
+type predKind int
+
+const (
+	predObject predKind = iota
+	predRelation
+	predAction
+)
+
+// predicate is one distinct predicate of the query, built once at
+// construction: its scan-statistics tracker and the probe that turns one
+// occurrence unit (an absolute frame index; a shot index for actions)
+// into a prediction indicator.
+type predicate struct {
+	kind  predKind
+	label annot.Label // object / action label; empty for relations
+	name  string      // "obj:car", "rel:a near b", "act:run": spans, EXPLAIN, Order
+	idx   int         // slot in Engine.preds and ClipResult.Counts
+	trk   *LabelTracker
+	probe func(unit int) bool
+
+	positive bool   // this clip's indicator, valid while Counts[idx] ≥ 0
+	log      []bool // indicator stream (RecordIndicators; not for relations)
+}
+
+// Engine processes one video stream for one query: a conjunction of
+// clauses over a flat list of distinct predicates.
 type Engine struct {
-	query annot.Query
-	det   detect.ObjectDetector
-	rec   detect.ActionRecognizer
-	geom  video.Geometry
-	cfg   Config
+	det  detect.ObjectDetector
+	rec  detect.ActionRecognizer
+	geom video.Geometry
+	cfg  Config
 
-	objTrk    map[annot.Label]*LabelTracker
-	actTrk    *LabelTracker
-	relations []relationState
+	preds []*predicate // construction order; each probed at most once per clip
+	// clauses is the evaluation pipeline in its current order (order.go);
+	// relAt is where WithRelations inserts relation clauses.
+	clauses []*clause
+	relAt   int
+	counts  []int // backs ClipResult.Counts
 
-	// short-circuit pipeline (order.go)
-	order []predRef
-	stats []predStats
-
-	nextClip   video.ClipIdx
-	indicators []bool
+	nextClip    video.ClipIdx
+	indicators  []bool
+	invocations int
 
 	// planner outcome accounting (Config.Plan)
 	planStats plan.Stats
-
-	// indicator logs (RecordIndicators)
-	objLog map[annot.Label][]bool
-	actLog []bool
-
-	invocations int
 
 	// tracing (AttachTrace); nil when untraced, and every handle is
 	// nil-safe, so the stepping path pays only nil checks.
@@ -202,10 +229,10 @@ type Engine struct {
 
 // AttachTrace wires the engine to a tracer: every subsequent clip
 // evaluation opens a span (parented under parent, e.g. a session or CLI
-// root span) with one child span per evaluated predicate stage, and the
-// engine bumps the detect.*_invocations and svaq.clips counters. Call
-// before the first ProcessClip; the engine is single-goroutine, so no
-// synchronization is involved.
+// root span) with one child span per evaluated predicate, in evaluation
+// order, and the engine bumps the detect.*_invocations and svaq.clips
+// counters. Call before the first ProcessClip; the engine is
+// single-goroutine, so no synchronization is involved.
 func (e *Engine) AttachTrace(tr *trace.Tracer, parent trace.SpanID) {
 	e.tr, e.traceRoot = tr, parent
 	e.cFrames = tr.Counter("detect.frame_invocations")
@@ -220,20 +247,39 @@ func (e *Engine) AttachTrace(tr *trace.Tracer, parent trace.SpanID) {
 // ProcessClip; a nil collector leaves collection off.
 func (e *Engine) AttachExplain(c *explain.Collector) { e.ex = c }
 
-// New builds an engine for query q over a stream with the given
-// geometry, using the supplied models.
+// New builds an engine for the conjunctive query q over a stream with
+// the given geometry, using the supplied models: one singleton clause
+// per predicate in the paper's order — objects in query order, then any
+// relations (WithRelations), then the action.
 func New(q annot.Query, det detect.ObjectDetector, rec detect.ActionRecognizer, geom video.Geometry, cfg Config) (*Engine, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if err := geom.Validate(); err != nil {
+	clauses := make([]Clause, 0, len(q.Objects)+1)
+	for _, o := range q.Objects {
+		clauses = append(clauses, Clause{Objects: []annot.Label{o}})
+	}
+	if q.Action != "" {
+		clauses = append(clauses, Clause{Actions: []annot.Label{q.Action}})
+	}
+	e, err := NewClauses(clauses, det, rec, geom, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if q.Action != "" && rec == nil {
-		return nil, fmt.Errorf("svaq: query has an action predicate but no action recognizer")
+	e.relAt = len(q.Objects)
+	return e, nil
+}
+
+// NewClauses builds an engine for a conjunction of clauses (footnotes
+// 3–4: several actions, disjunctions). A clip is positive when every
+// clause is; a label named by several clauses is one predicate with one
+// tracker, probed at most once per clip.
+func NewClauses(clauses []Clause, det detect.ObjectDetector, rec detect.ActionRecognizer, geom video.Geometry, cfg Config) (*Engine, error) {
+	if len(clauses) == 0 {
+		return nil, fmt.Errorf("svaq: query has no clauses")
 	}
-	if len(q.Objects) > 0 && det == nil {
-		return nil, fmt.Errorf("svaq: query has object predicates but no object detector")
+	if err := geom.Validate(); err != nil {
+		return nil, err
 	}
 	if err := cfg.Plan.Validate(); err != nil {
 		return nil, err
@@ -241,60 +287,145 @@ func New(q annot.Query, det detect.ObjectDetector, rec detect.ActionRecognizer, 
 	if cfg.Plan.Enabled() && cfg.RecordIndicators {
 		return nil, fmt.Errorf("svaq: RecordIndicators requires dense evaluation; disable Plan (Rate %d) to record indicator streams", cfg.Plan.Rate)
 	}
-	cfg = cfg.withDefaults()
-	e := &Engine{
-		query:  q,
-		det:    det,
-		rec:    rec,
-		geom:   geom,
-		cfg:    cfg,
-		objTrk: map[annot.Label]*LabelTracker{},
-		objLog: map[annot.Label][]bool{},
-	}
-	for _, o := range q.Objects {
-		lt, err := NewLabelTracker(cfg.trackerConfig(geom.ClipLen(), cfg.P0Object, cfg.KernelU))
-		if err != nil {
-			return nil, fmt.Errorf("svaq: object %q: %w", o, err)
+	e := &Engine{det: det, rec: rec, geom: geom, cfg: cfg.withDefaults()}
+	for _, cl := range clauses {
+		if len(cl.Objects) == 0 && len(cl.Actions) == 0 {
+			return nil, fmt.Errorf("svaq: empty clause")
 		}
-		e.objTrk[o] = lt
-	}
-	if q.Action != "" {
-		// The action tracker works in shots; scale the kernel so it
-		// spans the same wall-clock extent as the object kernels.
-		u := cfg.KernelU / float64(geom.ShotLen)
-		if u < 1 {
-			u = 1
+		preds := make([]*predicate, 0, len(cl.Objects)+len(cl.Actions))
+		for _, group := range []struct {
+			kind   predKind
+			labels []annot.Label
+		}{{predObject, cl.Objects}, {predAction, cl.Actions}} {
+			for _, l := range group.labels {
+				p, err := e.labelPredicate(group.kind, l)
+				if err != nil {
+					return nil, err
+				}
+				preds = append(preds, p)
+			}
 		}
-		lt, err := NewLabelTracker(cfg.trackerConfig(geom.ShotsPerClip, cfg.P0Action, u))
-		if err != nil {
-			return nil, fmt.Errorf("svaq: action %q: %w", q.Action, err)
-		}
-		e.actTrk = lt
+		e.clauses = append(e.clauses, e.newClause(preds))
 	}
+	e.relAt = len(e.clauses)
 	return e, nil
 }
 
-// CriticalValues returns the current per-object critical values and the
-// action critical value (0 if the query has no action predicate).
+// labelPredicate returns the engine's predicate for an object or action
+// label, building it on first use.
+func (e *Engine) labelPredicate(kind predKind, l annot.Label) (*predicate, error) {
+	if p := e.find(kind, l); p != nil {
+		return p, nil
+	}
+	labels := []annot.Label{l}
+	if kind == predAction {
+		if e.rec == nil {
+			return nil, fmt.Errorf("svaq: query has an action predicate %q but no action recognizer", l)
+		}
+		rec, thr := e.rec, e.cfg.Thresholds.Action
+		// The prediction indicator 1_{a}(s).
+		return e.addPredicate(kind, l, "act:"+string(l), func(s int) bool {
+			for _, a := range rec.Recognize(video.ShotIdx(s), labels) {
+				if a.Label == l && a.Score >= thr {
+					return true
+				}
+			}
+			return false
+		})
+	}
+	if e.det == nil {
+		return nil, fmt.Errorf("svaq: query has an object predicate %q but no object detector", l)
+	}
+	det, thr := e.det, e.cfg.Thresholds.Object
+	// The prediction indicator 1_{o}(v): whether any detection of label
+	// o on frame v scores at least T_obj.
+	return e.addPredicate(kind, l, "obj:"+string(l), func(v int) bool {
+		for _, d := range det.Detect(video.FrameIdx(v), labels) {
+			if d.Label == l && d.Score >= thr {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// addPredicate appends a predicate with a fresh tracker. Object and
+// relation trackers count frames; the action tracker works in shots,
+// its kernel scaled to span the same wall-clock extent.
+func (e *Engine) addPredicate(kind predKind, l annot.Label, name string, probe func(int) bool) (*predicate, error) {
+	tc := e.cfg.trackerConfig(e.geom.ClipLen(), e.cfg.P0Object, e.cfg.KernelU)
+	if kind == predAction {
+		tc = e.cfg.trackerConfig(e.geom.ShotsPerClip, e.cfg.P0Action, max(e.cfg.KernelU/float64(e.geom.ShotLen), 1))
+	}
+	lt, err := NewLabelTracker(tc)
+	if err != nil {
+		return nil, fmt.Errorf("svaq: %s: %w", name, err)
+	}
+	p := &predicate{kind: kind, label: l, name: name, idx: len(e.preds), trk: lt, probe: probe}
+	e.preds = append(e.preds, p)
+	e.counts = append(e.counts, -1)
+	return p, nil
+}
+
+// find returns the predicate of the given kind and label, or nil.
+func (e *Engine) find(kind predKind, l annot.Label) *predicate {
+	for _, p := range e.preds {
+		if p.kind == kind && p.label == l {
+			return p
+		}
+	}
+	return nil
+}
+
+// soleAction returns the action predicate when the query has exactly
+// one, else nil.
+func (e *Engine) soleAction() *predicate {
+	var act *predicate
+	for _, p := range e.preds {
+		if p.kind == predAction {
+			if act != nil {
+				return nil
+			}
+			act = p
+		}
+	}
+	return act
+}
+
+// Predicates lists the engine's distinct predicates by name ("obj:car",
+// "rel:a near b", "act:run") in construction order — the order of
+// ClipResult.Counts.
+func (e *Engine) Predicates() []string {
+	out := make([]string, len(e.preds))
+	for i, p := range e.preds {
+		out[i] = p.name
+	}
+	return out
+}
+
+// CriticalValues returns the current per-object critical values, and
+// the action critical value when the query has exactly one action
+// predicate (0 otherwise).
 func (e *Engine) CriticalValues() (obj map[annot.Label]int, act int) {
-	out := make(map[annot.Label]int, len(e.objTrk))
-	for o, lt := range e.objTrk {
-		out[o] = lt.K()
+	obj = make(map[annot.Label]int, len(e.preds))
+	for _, p := range e.preds {
+		if p.kind == predObject {
+			obj[p.label] = p.trk.K()
+		}
 	}
-	if e.actTrk != nil {
-		act = e.actTrk.K()
+	if p := e.soleAction(); p != nil {
+		act = p.trk.K()
 	}
-	return out, act
+	return obj, act
 }
 
 // BackgroundP returns the current background probability of the given
-// object predicate, or of the action when label equals the query action.
+// object predicate, or of the action predicate with that label.
 func (e *Engine) BackgroundP(label annot.Label) float64 {
-	if lt, ok := e.objTrk[label]; ok {
-		return lt.P()
-	}
-	if label == e.query.Action && e.actTrk != nil {
-		return e.actTrk.P()
+	for _, kind := range []predKind{predObject, predAction} {
+		if p := e.find(kind, label); p != nil {
+			return p.trk.P()
+		}
 	}
 	return 0
 }
@@ -315,59 +446,62 @@ func (e *Engine) ProcessClip(c video.ClipIdx) (ClipResult, error) {
 	return res, nil
 }
 
-// evaluateClip is Algorithm 2: per-predicate indicators on clip c,
-// optionally short-circuiting after the first failed predicate. The
-// pipeline order is the query order unless Config.AdaptiveOrder is on.
+// evaluateClip is Algorithm 2 over clauses: per-predicate indicators on
+// clip c, ORed within a clause and ANDed across clauses, optionally
+// short-circuiting after the first failed clause. The pipeline order is
+// the query order unless Config.AdaptiveOrder is on.
 func (e *Engine) evaluateClip(c video.ClipIdx) (ClipResult, error) {
-	e.initOrder()
 	if e.cfg.AdaptiveOrder {
 		e.reorder()
 	}
 	var clipSpan *trace.Span
-	var clipStart time.Time
 	if e.tr != nil {
 		clipSpan = e.tr.StartSpan("svaq.clip", e.traceRoot)
 		clipSpan.SetInt("clip", int64(c))
-		clipStart = time.Now()
+		clipStart := time.Now()
 		defer func() {
 			e.cClips.Add(1)
 			e.stClip.Observe(time.Since(clipStart))
 			clipSpan.End()
 		}()
 	}
-	res := ClipResult{
-		Clip:         c,
-		Positive:     true,
-		ObjectCounts: map[annot.Label]int{},
-		ActionCount:  -1,
+	for i := range e.counts {
+		e.counts[i] = -1
 	}
+	res := ClipResult{Clip: c, Positive: true, Counts: e.counts}
 	// Exploration clips evaluate everything so late-pipeline pass-rate
 	// estimates stay fresh under adaptive ordering.
 	shortCircuit := e.cfg.ShortCircuit
 	if e.cfg.AdaptiveOrder && shortCircuit && int(c)%e.cfg.ExploreEvery == 0 {
 		shortCircuit = false
 	}
-	for _, ref := range e.order {
+	for _, cl := range e.clauses {
 		if !res.Positive && shortCircuit {
 			return res, nil
 		}
-		var predSpan *trace.Span
-		if e.tr != nil {
-			predSpan = e.tr.StartSpan(e.predName(ref), clipSpan.ID())
+		positive := false
+		for _, p := range cl.preds {
+			if res.Counts[p.idx] < 0 { // not yet probed on this clip
+				var predSpan *trace.Span
+				if e.tr != nil {
+					predSpan = e.tr.StartSpan(p.name, clipSpan.ID())
+				}
+				err := e.evalPredicate(p, c, &res)
+				predSpan.End()
+				if err != nil {
+					return res, err
+				}
+			}
+			positive = positive || p.positive
 		}
-		positive, err := e.evalPredicate(ref, c, &res)
-		predSpan.End()
-		if err != nil {
-			return res, err
-		}
-		e.observePass(ref, positive)
+		cl.observePass(positive)
 		if !positive {
-			// The first failing predicate settles the clip; attribute the
+			// The first failing clause settles the clip; attribute the
 			// rejection to its decision machinery (relations always run
 			// dense, so they reject via the scan statistic even when the
 			// planner is armed).
 			if res.Positive && e.ex != nil {
-				if ref.kind != predRelation && e.cfg.Plan.Enabled() {
+				if e.planned(cl.preds[0]) {
 					e.ex.ClipOutcome(explain.ClipPlanPrune)
 				} else {
 					e.ex.ClipOutcome(explain.ClipScanReject)
@@ -386,25 +520,67 @@ func (e *Engine) evaluateClip(c video.ClipIdx) (ClipResult, error) {
 	return res, nil
 }
 
-// detectObject returns the prediction indicator 1_{o}(v): whether any
-// detection of label o on frame v scores at least T_obj.
-func (e *Engine) detectObject(v video.FrameIdx, o annot.Label) bool {
-	for _, d := range e.det.Detect(v, []annot.Label{o}) {
-		if d.Label == o && d.Score >= e.cfg.Thresholds.Object {
-			return true
-		}
-	}
-	return false
+// planned reports whether p is evaluated through the sampling planner.
+func (e *Engine) planned(p *predicate) bool {
+	return e.cfg.Plan.Enabled() && p.kind != predRelation
 }
 
-// recognizeAction returns the prediction indicator 1_{a}(s).
-func (e *Engine) recognizeAction(s video.ShotIdx) bool {
-	for _, a := range e.rec.Recognize(s, []annot.Label{e.query.Action}) {
-		if a.Label == e.query.Action && a.Score >= e.cfg.Thresholds.Action {
-			return true
-		}
+// unitsOf returns p's occurrence units on clip c — the first unit and
+// their number: frames, or shots for an action — and the invocation
+// counter they are charged to.
+func (e *Engine) unitsOf(p *predicate, c video.ClipIdx) (first, w int, units *trace.Counter) {
+	if p.kind == predAction {
+		lo, hi := e.geom.ShotRangeOfClip(c)
+		return int(lo), int(hi - lo), e.cShots
 	}
-	return false
+	lo, hi := e.geom.FrameRangeOfClip(c)
+	return int(lo), int(hi - lo), e.cFrames
+}
+
+// evalPredicate computes one predicate's indicator on clip c — densely,
+// or on the planner's coarse-to-fine subsample — and feeds its tracker,
+// the clip result, the invocation counters and EXPLAIN.
+func (e *Engine) evalPredicate(p *predicate, c video.ClipIdx, res *ClipResult) error {
+	first, w, units := e.unitsOf(p, c)
+	obs := explain.PredObservation{Name: p.name, Units: w}
+	var count int
+	var err error
+	if e.planned(p) {
+		var pr plan.Result
+		pr, err = e.cfg.Plan.Evaluate(w, p.trk.K(), p.trk.P(), func(u int) (bool, error) {
+			return p.probe(first + u), nil
+		})
+		if err != nil {
+			return fmt.Errorf("svaq: %s: %w", p.name, err)
+		}
+		e.planStats.Observe(w, pr)
+		count, p.positive = pr.Count, pr.Positive
+		obs.Planned, obs.Units, obs.BaseUnits, obs.Rungs, obs.Reason = true, pr.Sampled, pr.BaseSampled, pr.Rungs, pr.Reason
+		err = p.trk.ObserveRun(pr.Sampled, pr.Count)
+	} else {
+		record := e.cfg.RecordIndicators && p.kind != predRelation
+		for u := first; u < first+w; u++ {
+			pos := p.probe(u)
+			if pos {
+				count++
+			}
+			if record {
+				p.log = append(p.log, pos)
+			}
+		}
+		p.positive, err = p.trk.ObserveClip(count)
+	}
+	res.Invocations += obs.Units
+	units.Add(int64(obs.Units))
+	res.Counts[p.idx] = count
+	if err != nil {
+		return fmt.Errorf("svaq: %s: %w", p.name, err)
+	}
+	if e.ex != nil {
+		obs.Positive = p.positive
+		e.ex.ObservePredicate(obs)
+	}
+	return nil
 }
 
 // Run processes clips 0..nclips−1 and returns the result sequences.
@@ -437,8 +613,19 @@ func (e *Engine) ClipsProcessed() int { return int(e.nextClip) }
 
 // ObjectIndicators returns the recorded per-frame indicator stream of
 // an object predicate (nil unless Config.RecordIndicators was set).
-func (e *Engine) ObjectIndicators(o annot.Label) []bool { return e.objLog[o] }
+func (e *Engine) ObjectIndicators(o annot.Label) []bool {
+	if p := e.find(predObject, o); p != nil {
+		return p.log
+	}
+	return nil
+}
 
 // ActionIndicators returns the recorded per-shot indicator stream of
-// the action predicate (nil unless Config.RecordIndicators was set).
-func (e *Engine) ActionIndicators() []bool { return e.actLog }
+// the query's single action predicate (nil unless
+// Config.RecordIndicators was set).
+func (e *Engine) ActionIndicators() []bool {
+	if p := e.soleAction(); p != nil {
+		return p.log
+	}
+	return nil
+}

@@ -1,12 +1,8 @@
 package svaq
 
 import (
-	"fmt"
 	"sort"
-
-	"vaq/internal/explain"
-	"vaq/internal/plan"
-	"vaq/internal/video"
+	"strings"
 )
 
 // Footnote 5 of the paper defers "a thorough investigation into the
@@ -14,264 +10,75 @@ import (
 // in user-given order. This file implements that future work: with
 // Config.AdaptiveOrder, the engine reorders the short-circuit
 // evaluation pipeline online by the classic pipelined-filter rule —
-// ascending cost / (1 − pass-rate) — using per-predicate pass rates
+// ascending cost / (1 − pass-rate) — using per-clause pass rates
 // estimated from the stream itself. Periodic exploration clips evaluate
-// every predicate so that the estimates of predicates parked late in the
+// every clause so that the estimates of clauses parked late in the
 // pipeline stay fresh.
 
-// predKind distinguishes the three predicate families of the engine.
-type predKind int
-
-const (
-	predObject predKind = iota
-	predRelation
-	predAction
-)
-
-// predRef addresses one predicate of the engine's query.
-type predRef struct {
-	kind predKind
-	idx  int // index into query.Objects or relations; unused for the action
-}
-
-// predStats tracks one predicate's online ordering statistics.
-type predStats struct {
+// clause is one stage of the evaluation pipeline — a disjunction of
+// predicates (a single predicate for conjunctive queries) — with its
+// online ordering statistics.
+type clause struct {
+	preds []*predicate
 	// passRate is an exponentially-weighted estimate of
-	// P(indicator positive), the predicate's (non-)selectivity.
+	// P(clause positive), the clause's (non-)selectivity.
 	passRate float64
-	// cost is the predicate's model invocations per clip, optionally
+	// cost is the clause's model invocations per clip, optionally
 	// weighted (actions run heavier models on fewer units).
 	cost float64
-	// evaluated counts the clips on which the predicate actually ran.
-	evaluated int
 }
 
 // passDecay is the EWMA factor for pass-rate updates.
 const passDecay = 0.98
 
-// initOrder builds the predicate pipeline in the paper's default order:
-// objects in query order, then relations, then the action.
-func (e *Engine) initOrder() {
-	if e.order != nil {
-		return
+// newClause builds a pipeline stage over preds, costed at a clip's
+// frames per object or relation predicate and its weighted shots per
+// action predicate.
+func (e *Engine) newClause(preds []*predicate) *clause {
+	cl := &clause{preds: preds, passRate: 0.5}
+	for _, p := range preds {
+		if p.kind == predAction {
+			cl.cost += float64(e.geom.ShotsPerClip) * e.cfg.ActionCostWeight
+		} else {
+			cl.cost += float64(e.geom.ClipLen())
+		}
 	}
-	clipFrames := float64(e.geom.ClipLen())
-	actCost := float64(e.geom.ShotsPerClip) * e.cfg.ActionCostWeight
-	for i := range e.query.Objects {
-		e.order = append(e.order, predRef{kind: predObject, idx: i})
-		e.stats = append(e.stats, predStats{passRate: 0.5, cost: clipFrames})
-	}
-	for i := range e.relations {
-		e.order = append(e.order, predRef{kind: predRelation, idx: i})
-		e.stats = append(e.stats, predStats{passRate: 0.5, cost: clipFrames})
-	}
-	if e.query.Action != "" {
-		e.order = append(e.order, predRef{kind: predAction})
-		e.stats = append(e.stats, predStats{passRate: 0.5, cost: actCost})
-	}
-}
-
-// statIndex maps a predRef back to its stats slot (stats are stored in
-// construction order: objects, relations, action).
-func (e *Engine) statIndex(r predRef) int {
-	switch r.kind {
-	case predObject:
-		return r.idx
-	case predRelation:
-		return len(e.query.Objects) + r.idx
-	default:
-		return len(e.query.Objects) + len(e.relations)
-	}
+	return cl
 }
 
 // reorder sorts the pipeline by ascending cost/(1−passRate): cheap,
-// highly selective predicates run first so failed clips are abandoned
+// highly selective clauses run first so failed clips are abandoned
 // early (the optimal ordering for independent pipelined filters).
 func (e *Engine) reorder() {
-	rank := func(r predRef) float64 {
-		s := e.stats[e.statIndex(r)]
-		reject := 1 - s.passRate
-		if reject < 0.05 {
-			reject = 0.05 // never let a non-selective predicate look free
-		}
-		return s.cost / reject
+	rank := func(cl *clause) float64 {
+		// never let a non-selective clause look free
+		return cl.cost / max(1-cl.passRate, 0.05)
 	}
-	sort.SliceStable(e.order, func(a, b int) bool {
-		return rank(e.order[a]) < rank(e.order[b])
+	sort.SliceStable(e.clauses, func(a, b int) bool {
+		return rank(e.clauses[a]) < rank(e.clauses[b])
 	})
 }
 
-// observePass feeds a predicate's outcome into its ordering statistics.
-func (e *Engine) observePass(r predRef, positive bool) {
-	s := &e.stats[e.statIndex(r)]
+// observePass feeds a clause's outcome into its ordering statistics.
+func (cl *clause) observePass(positive bool) {
 	v := 0.0
 	if positive {
 		v = 1
 	}
-	s.passRate = passDecay*s.passRate + (1-passDecay)*v
-	s.evaluated++
+	cl.passRate = passDecay*cl.passRate + (1-passDecay)*v
 }
 
-// evalPredicate runs one predicate of the pipeline on clip c, updating
-// the clip result and the predicate's tracker; it returns the indicator.
-func (e *Engine) evalPredicate(r predRef, c video.ClipIdx, res *ClipResult) (bool, error) {
-	switch r.kind {
-	case predObject:
-		o := e.query.Objects[r.idx]
-		frameLo, frameHi := e.geom.FrameRangeOfClip(c)
-		if e.cfg.Plan.Enabled() {
-			lt := e.objTrk[o]
-			w := int(frameHi - frameLo)
-			pr, err := e.cfg.Plan.Evaluate(w, lt.K(), lt.P(), func(u int) (bool, error) {
-				return e.detectObject(frameLo+video.FrameIdx(u), o), nil
-			})
-			if err != nil {
-				return false, fmt.Errorf("svaq: object %q: %w", o, err)
-			}
-			res.Invocations += pr.Sampled
-			e.cFrames.Add(int64(pr.Sampled))
-			res.ObjectCounts[o] = pr.Count
-			e.planStats.Observe(w, pr)
-			if err := lt.ObserveRun(pr.Sampled, pr.Count); err != nil {
-				return false, fmt.Errorf("svaq: object %q: %w", o, err)
-			}
-			e.explainPlanned(r, pr)
-			return pr.Positive, nil
-		}
-		count := 0
-		for v := frameLo; v < frameHi; v++ {
-			pos := e.detectObject(v, o)
-			if pos {
-				count++
-			}
-			if e.cfg.RecordIndicators {
-				e.objLog[o] = append(e.objLog[o], pos)
-			}
-		}
-		res.Invocations += int(frameHi - frameLo)
-		e.cFrames.Add(int64(frameHi - frameLo))
-		res.ObjectCounts[o] = count
-		positive, err := e.objTrk[o].ObserveClip(count)
-		if err != nil {
-			return false, fmt.Errorf("svaq: object %q: %w", o, err)
-		}
-		e.explainDense(r, positive, int(frameHi-frameLo))
-		return positive, nil
-
-	case predRelation:
-		rs := e.relations[r.idx]
-		frameLo, frameHi := e.geom.FrameRangeOfClip(c)
-		count := 0
-		for v := frameLo; v < frameHi; v++ {
-			if rs.rd.Holds(v) {
-				count++
-			}
-		}
-		res.Invocations += int(frameHi - frameLo)
-		e.cFrames.Add(int64(frameHi - frameLo))
-		if res.RelationCounts == nil {
-			res.RelationCounts = map[string]int{}
-		}
-		res.RelationCounts[rs.rd.Relation().String()] = count
-		positive, err := rs.trk.ObserveClip(count)
-		if err != nil {
-			return false, fmt.Errorf("svaq: relation %v: %w", rs.rd.Relation(), err)
-		}
-		e.explainDense(r, positive, int(frameHi-frameLo))
-		return positive, nil
-
-	default: // predAction
-		shotLo, shotHi := e.geom.ShotRangeOfClip(c)
-		if e.cfg.Plan.Enabled() {
-			w := int(shotHi - shotLo)
-			pr, err := e.cfg.Plan.Evaluate(w, e.actTrk.K(), e.actTrk.P(), func(u int) (bool, error) {
-				return e.recognizeAction(shotLo + video.ShotIdx(u)), nil
-			})
-			if err != nil {
-				return false, fmt.Errorf("svaq: action %q: %w", e.query.Action, err)
-			}
-			res.Invocations += pr.Sampled
-			e.cShots.Add(int64(pr.Sampled))
-			res.ActionCount = pr.Count
-			e.planStats.Observe(w, pr)
-			if err := e.actTrk.ObserveRun(pr.Sampled, pr.Count); err != nil {
-				return false, fmt.Errorf("svaq: action %q: %w", e.query.Action, err)
-			}
-			e.explainPlanned(r, pr)
-			return pr.Positive, nil
-		}
-		count := 0
-		for s := shotLo; s < shotHi; s++ {
-			pos := e.recognizeAction(s)
-			if pos {
-				count++
-			}
-			if e.cfg.RecordIndicators {
-				e.actLog = append(e.actLog, pos)
-			}
-		}
-		res.Invocations += int(shotHi - shotLo)
-		e.cShots.Add(int64(shotHi - shotLo))
-		res.ActionCount = count
-		positive, err := e.actTrk.ObserveClip(count)
-		if err != nil {
-			return false, fmt.Errorf("svaq: action %q: %w", e.query.Action, err)
-		}
-		e.explainDense(r, positive, int(shotHi-shotLo))
-		return positive, nil
-	}
-}
-
-// explainPlanned feeds one planned predicate evaluation to the EXPLAIN
-// collector (no-op when collection is off).
-func (e *Engine) explainPlanned(r predRef, pr plan.Result) {
-	if e.ex == nil {
-		return
-	}
-	e.ex.ObservePredicate(explain.PredObservation{
-		Name:      e.predName(r),
-		Positive:  pr.Positive,
-		Planned:   true,
-		Units:     pr.Sampled,
-		BaseUnits: pr.BaseSampled,
-		Rungs:     pr.Rungs,
-		Reason:    pr.Reason,
-	})
-}
-
-// explainDense feeds one dense predicate evaluation to the EXPLAIN
-// collector (no-op when collection is off).
-func (e *Engine) explainDense(r predRef, positive bool, units int) {
-	if e.ex == nil {
-		return
-	}
-	e.ex.ObservePredicate(explain.PredObservation{
-		Name:     e.predName(r),
-		Positive: positive,
-		Units:    units,
-	})
-}
-
-// predName is the human-readable name of one predicate stage, shared by
-// the diagnostics listing and the per-stage trace spans.
-func (e *Engine) predName(r predRef) string {
-	switch r.kind {
-	case predObject:
-		return "obj:" + string(e.query.Objects[r.idx])
-	case predRelation:
-		return "rel:" + e.relations[r.idx].rd.Relation().String()
-	default:
-		return "act:" + string(e.query.Action)
-	}
-}
-
-// Order reports the current pipeline as human-readable predicate names,
-// for diagnostics and the ordering ablation.
+// Order reports the current pipeline as human-readable clause names — a
+// predicate name, or several joined by " | " for a disjunction — for
+// diagnostics and the ordering ablation.
 func (e *Engine) Order() []string {
-	e.initOrder()
-	out := make([]string, len(e.order))
-	for i, r := range e.order {
-		out[i] = e.predName(r)
+	out := make([]string, len(e.clauses))
+	for i, cl := range e.clauses {
+		names := make([]string, len(cl.preds))
+		for j, p := range cl.preds {
+			names[j] = p.name
+		}
+		out[i] = strings.Join(names, " | ")
 	}
 	return out
 }

@@ -2,8 +2,10 @@ package svaq
 
 import (
 	"fmt"
+	"slices"
 
 	"vaq/internal/detect"
+	"vaq/internal/video"
 )
 
 // Footnote 2 extension: queries may additionally constrain spatial
@@ -13,8 +15,10 @@ import (
 // predicate: counted per clip and compared against its own
 // scan-statistics critical value.
 
-// WithRelations augments an engine built by New with relation
-// predicates. It must be called before the first clip is processed.
+// WithRelations augments the engine with relation predicates, one
+// singleton clause each, placed after the objects of a query built by
+// New (after every clause of one built by NewClauses). It must be called
+// before the first clip is processed.
 func (e *Engine) WithRelations(rels []detect.Relation) error {
 	if e.nextClip != 0 {
 		return fmt.Errorf("svaq: relations must be added before processing starts")
@@ -23,19 +27,15 @@ func (e *Engine) WithRelations(rels []detect.Relation) error {
 		return fmt.Errorf("svaq: relation predicates need an object detector")
 	}
 	for _, r := range rels {
-		lt, err := NewLabelTracker(e.cfg.trackerConfig(e.geom.ClipLen(), e.cfg.P0Object, e.cfg.KernelU))
-		if err != nil {
-			return fmt.Errorf("svaq: relation %v: %w", r, err)
-		}
-		e.relations = append(e.relations, relationState{
-			rd:  detect.NewRelationDetector(e.det, r, e.cfg.Thresholds.Object),
-			trk: lt,
+		rd := detect.NewRelationDetector(e.det, r, e.cfg.Thresholds.Object)
+		p, err := e.addPredicate(predRelation, "", "rel:"+r.String(), func(v int) bool {
+			return rd.Holds(video.FrameIdx(v))
 		})
+		if err != nil {
+			return err
+		}
+		e.clauses = slices.Insert(e.clauses, e.relAt, e.newClause([]*predicate{p}))
+		e.relAt++
 	}
 	return nil
-}
-
-type relationState struct {
-	rd  *detect.RelationDetector
-	trk *LabelTracker
 }

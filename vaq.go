@@ -100,16 +100,15 @@ func ParseQuery(src string) (*Plan, error) { return vql.ParseAndCompile(src) }
 
 // Stream runs an online query over a clip stream.
 type Stream struct {
-	simple *svaq.Engine
-	cnf    *svaq.CNFEngine
+	eng *svaq.Engine
 }
 
-// NewStream builds the online engine for a compiled plan. Plans that
-// are pure conjunctions run the paper's SVAQ/SVAQD engine — with any
-// rel(...) predicates attached as relation trackers (footnote 2); plans
-// with disjunctions or multiple actions run the CNF extension engine
-// (footnotes 3–4). Relation predicates inside disjunctions are not
-// supported.
+// NewStream builds the online SVAQ/SVAQD engine for a compiled plan.
+// Pure conjunctions are laid out in the paper's order — objects, any
+// rel(...) predicates as relation trackers (footnote 2), the action;
+// plans with disjunctions or multiple actions run their CNF clauses in
+// plan order (footnotes 3–4). Relation predicates inside disjunctions
+// are not supported.
 func NewStream(plan *Plan, det ObjectDetector, rec ActionRecognizer, geom Geometry, cfg StreamConfig, opts ...StreamOption) (*Stream, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("vaq: nil plan")
@@ -120,20 +119,18 @@ func NewStream(plan *Plan, det ObjectDetector, rec ActionRecognizer, geom Geomet
 		if err != nil {
 			return nil, err
 		}
-		if len(relPreds) > 0 {
-			rels := make([]detect.Relation, 0, len(relPreds))
-			for _, rp := range relPreds {
-				kind, err := detect.ParseRelationKind(rp.RelKind)
-				if err != nil {
-					return nil, err
-				}
-				rels = append(rels, detect.Relation{A: rp.RelA, B: rp.RelB, Kind: kind})
-			}
-			if err := eng.WithRelations(rels); err != nil {
+		rels := make([]detect.Relation, 0, len(relPreds))
+		for _, rp := range relPreds {
+			kind, err := detect.ParseRelationKind(rp.RelKind)
+			if err != nil {
 				return nil, err
 			}
+			rels = append(rels, detect.Relation{A: rp.RelA, B: rp.RelB, Kind: kind})
 		}
-		return &Stream{simple: eng}, nil
+		if err := eng.WithRelations(rels); err != nil {
+			return nil, err
+		}
+		return &Stream{eng: eng}, nil
 	}
 	clauses := make([]svaq.Clause, 0, len(plan.CNF))
 	for _, clause := range plan.CNF {
@@ -150,11 +147,11 @@ func NewStream(plan *Plan, det ObjectDetector, rec ActionRecognizer, geom Geomet
 		}
 		clauses = append(clauses, cl)
 	}
-	eng, err := svaq.NewCNF(clauses, det, rec, geom, cfg)
+	eng, err := svaq.NewClauses(clauses, det, rec, geom, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{cnf: eng}, nil
+	return &Stream{eng: eng}, nil
 }
 
 // NewStreamQuery builds the online engine directly from a conjunctive
@@ -165,7 +162,7 @@ func NewStreamQuery(q Query, det ObjectDetector, rec ActionRecognizer, geom Geom
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{simple: eng}, nil
+	return &Stream{eng: eng}, nil
 }
 
 // StreamOption configures how a Stream reaches its models.
@@ -296,13 +293,7 @@ func NewTracer() *Tracer { return trace.New() }
 // evaluated predicate) under the given parent, bumps the detector
 // invocation counters and feeds the "svaq.clip" stage sketch. A nil
 // tracer detaches nothing and records nothing. Call before ProcessClip.
-func (s *Stream) AttachTrace(tr *Tracer, parent trace.SpanID) {
-	if s.simple != nil {
-		s.simple.AttachTrace(tr, parent)
-		return
-	}
-	s.cnf.AttachTrace(tr, parent)
-}
+func (s *Stream) AttachTrace(tr *Tracer, parent trace.SpanID) { s.eng.AttachTrace(tr, parent) }
 
 // ExplainCollector accumulates one query's EXPLAIN profile (package
 // internal/explain): every settled clip attributed to its decision
@@ -328,82 +319,42 @@ func RenderExplain(w io.Writer, p ExplainProfile) { explain.Render(w, p) }
 // subsequent clip evaluation attributes its outcome and detector units
 // to the profile. A nil collector records nothing. Call before
 // ProcessClip.
-func (s *Stream) AttachExplain(c *ExplainCollector) {
-	if s.simple != nil {
-		s.simple.AttachExplain(c)
-		return
-	}
-	s.cnf.AttachExplain(c)
-}
+func (s *Stream) AttachExplain(c *ExplainCollector) { s.eng.AttachExplain(c) }
 
 // ProcessClip evaluates the next clip (fed in order from 0) and reports
 // whether it satisfies the query.
 func (s *Stream) ProcessClip(c int) (bool, error) {
-	if s.simple != nil {
-		res, err := s.simple.ProcessClip(video.ClipIdx(c))
-		return res.Positive, err
-	}
-	return s.cnf.ProcessClip(video.ClipIdx(c))
+	res, err := s.eng.ProcessClip(video.ClipIdx(c))
+	return res.Positive, err
 }
 
 // Run processes clips 0..nclips−1 and returns the result sequences.
-func (s *Stream) Run(nclips int) (Sequences, error) {
-	if s.simple != nil {
-		return s.simple.Run(nclips)
-	}
-	return s.cnf.Run(nclips)
-}
+func (s *Stream) Run(nclips int) (Sequences, error) { return s.eng.Run(nclips) }
 
 // Results returns the result sequences over the clips processed so far.
-func (s *Stream) Results() Sequences {
-	if s.simple != nil {
-		return s.simple.Sequences()
-	}
-	return s.cnf.Sequences()
-}
+func (s *Stream) Results() Sequences { return s.eng.Sequences() }
 
 // ClipsProcessed returns the number of clips consumed so far — the
 // next clip index ProcessClip expects. Serving layers use this to
 // report session progress without driving the stream.
-func (s *Stream) ClipsProcessed() int {
-	if s.simple != nil {
-		return s.simple.ClipsProcessed()
-	}
-	return s.cnf.ClipsProcessed()
-}
+func (s *Stream) ClipsProcessed() int { return s.eng.ClipsProcessed() }
 
 // Invocations returns the total model invocations spent so far (frame
 // detections plus shot recognitions).
-func (s *Stream) Invocations() int {
-	if s.simple != nil {
-		return s.simple.Invocations()
-	}
-	return s.cnf.Invocations()
-}
+func (s *Stream) Invocations() int { return s.eng.Invocations() }
 
-// CriticalValues returns the current per-object critical values and the
-// action critical value of the scan statistic (§3.2). For CNF plans —
-// which track per-label critical values internally — it returns
-// (nil, 0).
-func (s *Stream) CriticalValues() (map[Label]int, int) {
-	if s.simple == nil {
-		return nil, 0
-	}
-	return s.simple.CriticalValues()
-}
+// CriticalValues returns the current per-object critical values of the
+// scan statistic (§3.2), and the action critical value when the plan has
+// exactly one action predicate (0 otherwise).
+func (s *Stream) CriticalValues() (map[Label]int, int) { return s.eng.CriticalValues() }
 
-// Engine exposes the underlying conjunctive engine for diagnostics
-// (critical values, background probabilities); nil for CNF plans.
-func (s *Stream) Engine() *svaq.Engine { return s.simple }
+// Engine exposes the underlying engine for diagnostics (critical
+// values, background probabilities, pipeline order); never nil.
+func (s *Stream) Engine() *svaq.Engine { return s.eng }
 
 // PlanStats reports the adaptive sampling planner's outcomes so far;
 // the zero value when StreamConfig.Plan is disabled.
-func (s *Stream) PlanStats() PlanStats {
-	if s.simple != nil {
-		return s.simple.PlanStats()
-	}
-	return s.cnf.PlanStats()
-}
+func (s *Stream) PlanStats() PlanStats { return s.eng.PlanStats() }
 
 // SequencePair is one composite temporal match between two queries'
 // result sequences.

@@ -1,6 +1,7 @@
 package vaq
 
 import (
+	"fmt"
 	"testing"
 
 	"vaq/internal/detect"
@@ -35,7 +36,7 @@ func TestParseQueryAndStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stream.Engine() == nil {
-		t.Fatal("conjunctive plan should use the simple engine")
+		t.Fatal("conjunctive plan has no engine")
 	}
 	seqs, err := stream.Run(meta.Clips())
 	if err != nil {
@@ -54,27 +55,61 @@ func TestParseQueryAndStream(t *testing.T) {
 	}
 }
 
-func TestCNFPlanUsesCNFEngine(t *testing.T) {
-	qs, det, rec := quickWorld(t)
+// leavesOrCarStatic is the SVAQ result of the disjunctive plan below on
+// the noisy quickWorld (p0 = 1e-4 admits many background clips).
+const leavesOrCarStatic = "{[1,1] [3,3] [9,14] [17,17] [19,20] [23,49] [51,52] [55,55] [58,58] [61,62] [65,88] [90,91] [93,95] [99,100] [106,110] [114,114] [117,119] [122,122] [124,124] [127,135] [139,143] [145,146] [148,150] [155,155] [157,181] [185,185] [189,189] [191,191] [193,193] [195,195] [201,201] [204,206] [208,209] [212,213] [215,216] [223,229] [231,231] [234,235] [237,237] [240,248] [252,252] [262,262] [265,265] [269,269] [271,271] [276,276] [278,280] [283,285] [287,294] [298,301] [303,306] [308,308] [313,314] [316,317] [319,322] [324,328] [330,330] [333,334] [339,339] [344,345] [348,349] [356,357] [361,362] [364,366] [368,368] [373,373] [376,376] [383,384] [387,388] [394,399] [402,402] [405,405] [407,407] [410,434] [443,443] [446,446] [450,450] [453,453] [456,460] [462,475] [477,478] [480,480] [485,486] [488,488] [490,501] [504,504] [506,510] [512,512] [514,516] [519,519] [521,523] [526,526] [528,528] [532,533] [536,536] [538,543] [545,546] [549,551] [553,553] [555,555] [560,562] [565,566] [568,570] [573,574] [577,578] [584,584] [588,594] [601,601] [606,607] [609,611] [615,617] [623,624] [626,626] [630,637] [639,659] [666,667] [669,669] [673,675] [677,677] [680,680] [682,708] [710,710] [712,712] [714,714] [716,716] [719,719] [721,721] [724,724] [726,726] [729,729] [732,733] [735,735] [737,738] [745,747]}"
+
+// TestCNFPlanRunsOnEngine: a disjunctive plan runs on the same online
+// engine as a conjunctive one, and reproduces — sequences, Invocations()
+// and final critical values — the literals captured from the separate
+// CNF engine it replaced, under SVAQ and SVAQD × dense / Plan.Rate 1 /
+// Plan.Rate 4.
+func TestCNFPlanRunsOnEngine(t *testing.T) {
 	plan, err := ParseQuery(`
 		SELECT MERGE(clipID) FROM (PROCESS cam PRODUCE clipID, obj, act)
 		WHERE act = 'blowing_leaves' OR obj.include('car')`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := qs.World.Truth.Meta
-	stream, err := NewStream(plan, det, rec, meta.Geom, StreamConfig{HorizonClips: meta.Clips()})
-	if err != nil {
-		t.Fatal(err)
+	goldens := []struct {
+		dynamic     bool
+		rate        int
+		seqs        string
+		invocations int
+		kcrit       string
+	}{
+		{false, 0, leavesOrCarStatic, 41140, "act:blowing_leaves=2 obj:car=2"},
+		{false, 1, leavesOrCarStatic, 41140, "act:blowing_leaves=2 obj:car=2"},
+		{false, 4, leavesOrCarStatic, 32987, "act:blowing_leaves=2 obj:car=2"},
+		{true, 0, "{[1,1] [24,49] [65,85] [107,107] [131,135] [157,181] [204,204] [226,226] [240,247] [287,292] [305,305] [396,398] [413,434] [459,460] [462,475] [491,501] [549,549] [561,561] [573,573] [642,658] [673,674] [684,697] [699,705] [746,747]}", 41140, "act:blowing_leaves=4 obj:car=9"},
+		{true, 1, "{[1,1] [24,49] [65,85] [107,107] [131,135] [157,181] [204,204] [226,226] [240,247] [287,292] [305,305] [396,398] [413,434] [459,460] [462,475] [491,501] [549,549] [561,561] [573,573] [642,658] [673,674] [684,697] [699,705] [746,747]}", 41140, "act:blowing_leaves=4 obj:car=9"},
+		{true, 4, "{[1,1] [20,20] [24,49] [65,85] [107,107] [131,135] [157,181] [204,204] [226,226] [240,247] [287,292] [305,305] [396,398] [413,434] [459,460] [462,475] [491,501] [549,549] [561,561] [573,573] [642,658] [673,674] [684,697] [699,705] [746,747]}", 18734, "act:blowing_leaves=4 obj:car=9"},
 	}
-	if stream.Engine() != nil {
-		t.Fatal("disjunctive plan should use the CNF engine")
-	}
-	if _, err := stream.ProcessClip(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stream.Run(50); err != nil {
-		t.Fatal(err)
+	for _, g := range goldens {
+		qs, det, rec := quickWorld(t)
+		meta := qs.World.Truth.Meta
+		stream, err := NewStream(plan, det, rec, meta.Geom, StreamConfig{
+			HorizonClips: meta.Clips(), Dynamic: g.dynamic, Plan: PlanConfig{Rate: g.rate},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stream.Engine() == nil {
+			t.Fatal("disjunctive plan has no engine")
+		}
+		if _, err := stream.ProcessClip(0); err != nil {
+			t.Fatal(err)
+		}
+		seqs, err := stream.Run(meta.Clips())
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, act := stream.CriticalValues()
+		kcrit := fmt.Sprintf("act:blowing_leaves=%d obj:car=%d", act, obj["car"])
+		if seqs.String() != g.seqs || stream.Invocations() != g.invocations || kcrit != g.kcrit {
+			t.Errorf("dynamic=%v rate=%d:\n got %s %d %s\nwant %s %d %s", g.dynamic, g.rate,
+				seqs, stream.Invocations(), kcrit, g.seqs, g.invocations, g.kcrit)
+		}
 	}
 }
 
