@@ -20,13 +20,13 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"vaq/internal/annot"
 	"vaq/internal/detect"
 	"vaq/internal/interval"
 	"vaq/internal/plan"
 	"vaq/internal/score"
-	"vaq/internal/svaq"
 	"vaq/internal/tables"
 	"vaq/internal/trace"
 	"vaq/internal/video"
@@ -58,17 +58,19 @@ type Config struct {
 	// tracking stages stay sequential, so results are identical to a
 	// serial run. 0 or 1 means serial.
 	Workers int
-	// Plan arms the coarse-to-fine adaptive sampling planner: each
-	// clip's units are scored sparsely (1 in Plan.Rate) and densified
-	// only while some label's indicator is still undecided by the scan-
-	// statistic rules. Partially sampled clips materialize lower-bound
-	// table scores, recorded in VideoData.Plan so the query phase keeps
-	// its bounds sound (see docs/PLANNER.md); the bound arithmetic
-	// assumes the additive scoring scheme h (the default). Planned
-	// ingestion interleaves inference with the statistics, so it runs
-	// sequentially — Workers is ignored. The zero value is a dense
-	// ingest; Rate 1 runs the planner's dense rung, byte-identical to
-	// dense.
+	// Plan arms the coarse-to-fine adaptive sampling planner: per clip,
+	// each model family (object labels over frames, action labels over
+	// shots) runs one ladder that scores the units sparsely (1 in
+	// Plan.Rate) and densifies only while some label's indicator is
+	// still undecided by the scan-statistic rules. Windows of at most
+	// Plan.MinSample units run dense, as they do online. Partially
+	// sampled clips materialize lower-bound table scores, recorded in
+	// VideoData.Plan so the query phase keeps its bounds sound (see
+	// docs/PLANNER.md); the bound arithmetic assumes the additive
+	// scoring scheme h (the default). Planned ingestion interleaves
+	// inference with the statistics, so it runs sequentially — Workers
+	// is ignored. The zero value is a dense ingest; Rate 1 runs the
+	// planner's dense rung, byte-identical to dense.
 	Plan plan.Config
 }
 
@@ -86,13 +88,6 @@ func (c Config) withDefaults() Config {
 		c.Score = score.Default()
 	}
 	return c
-}
-
-// clipWork carries one clip's raw model outputs from the (possibly
-// parallel) inference stage to the sequential statistics stage.
-type clipWork struct {
-	frameDets  [][]detect.Detection
-	shotScores [][]detect.ActionScore
 }
 
 // VideoData is the materialized metadata of one ingested video.
@@ -175,25 +170,6 @@ func copyHops(m map[int]int) map[int]int {
 	return out
 }
 
-// DegradedClips maps the degraded frame and shot sets onto the clips
-// whose materialized scores they fed (frame → clip via the clip length,
-// shot → clip via shots-per-clip). Nil when the video ingested cleanly.
-// The map is built afresh per call; query executions cache it.
-func (vd *VideoData) DegradedClips() map[int32]bool {
-	if len(vd.DegradedFrames) == 0 && len(vd.DegradedShots) == 0 {
-		return nil
-	}
-	g := vd.Meta.Geom
-	out := make(map[int32]bool, len(vd.DegradedFrames)+len(vd.DegradedShots))
-	for _, f := range vd.DegradedFrames {
-		out[int32(g.ClipOfFrame(video.FrameIdx(f)))] = true
-	}
-	for _, s := range vd.DegradedShots {
-		out[int32(g.ClipOfShot(video.ShotIdx(s)))] = true
-	}
-	return out
-}
-
 // DegradedClipHops maps each degraded clip to the worst (highest)
 // fallback hop among the degraded units that fed its scores — the
 // pessimistic choice, since a clip is only as trustworthy as its least
@@ -262,165 +238,52 @@ func VideoCtx(ctx context.Context, det detect.ObjectDetector, rec detect.ActionR
 	vspan.SetAttr("video", meta.Name)
 	vspan.SetInt("clips", int64(nclips))
 	defer vspan.End()
-	cFrames := tr.Counter("detect.frame_invocations")
-	cShots := tr.Counter("detect.shot_invocations")
 	tr.Counter("ingest.videos").Add(1)
 	tr.Counter("ingest.clips").Add(int64(nclips))
 
-	// Per-label scan-statistics trackers (dynamic, as §4.2 prescribes:
-	// "utilizing algorithm SVAQD ... determine the positive clips").
-	objTrk := map[annot.Label]*svaq.LabelTracker{}
-	actTrk := map[annot.Label]*svaq.LabelTracker{}
-	for _, l := range objLabels {
-		lt, err := svaq.NewLabelTracker(svaq.TrackerConfig{
-			UnitsPerClip: geom.ClipLen(), HorizonClips: nclips,
-			Alpha: cfg.Alpha, P0: 1e-4, Dynamic: true, KernelU: cfg.KernelU,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ingest: object %q: %w", l, err)
-		}
-		objTrk[l] = lt
-	}
-	actKernel := cfg.KernelU / float64(geom.ShotLen)
-	if actKernel < 1 {
-		actKernel = 1
-	}
-	for _, l := range actLabels {
-		lt, err := svaq.NewLabelTracker(svaq.TrackerConfig{
-			UnitsPerClip: geom.ShotsPerClip, HorizonClips: nclips,
-			Alpha: cfg.Alpha, P0: 1e-4, Dynamic: true, KernelU: actKernel,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ingest: action %q: %w", l, err)
-		}
-		actTrk[l] = lt
-	}
-
-	if cfg.Plan.Enabled() {
-		return videoPlanned(ctx, det, rec, meta, objLabels, actLabels, cfg, objTrk, actTrk)
-	}
-
-	// Stage 1 — model inference per clip, the dominant cost (§5.2):
-	// parallel when cfg.Workers > 1. The simulated models are
-	// deterministic per (seed, label, unit), so parallel and serial
-	// runs produce identical detections.
-	work := make([]clipWork, nclips)
-	inferClip := func(c int) {
-		w := &work[c]
-		frameLo, frameHi := geom.FrameRangeOfClip(video.ClipIdx(c))
-		w.frameDets = make([][]detect.Detection, 0, int(frameHi-frameLo))
-		for v := frameLo; v < frameHi; v++ {
-			w.frameDets = append(w.frameDets, det.Detect(v, objLabels))
-		}
-		cFrames.Add(int64(frameHi-frameLo) * int64(len(objLabels)))
-		shotLo, shotHi := geom.ShotRangeOfClip(video.ClipIdx(c))
-		for s := shotLo; s < shotHi; s++ {
-			w.shotScores = append(w.shotScores, rec.Recognize(s, actLabels))
-		}
-		cShots.Add(int64(shotHi-shotLo) * int64(len(actLabels)))
-	}
-	_, inferSpan := trace.Start(ctx, "ingest.infer")
-	if cfg.Workers > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for i := 0; i < cfg.Workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// On cancellation workers keep draining the feed (without
-				// inferring) so the feeder never blocks on a dead pool.
-				for c := range next {
-					if ctx.Err() == nil {
-						inferClip(c)
-					}
-				}
-			}()
-		}
-		for c := 0; c < nclips; c++ {
-			next <- c
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for c := 0; c < nclips; c++ {
-			if err := ctx.Err(); err != nil {
-				inferSpan.End()
-				return nil, fmt.Errorf("ingest: video %q: %w", meta.Name, err)
-			}
-			inferClip(c)
-		}
-	}
-	inferSpan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("ingest: video %q: %w", meta.Name, err)
-	}
-
-	// Stage 2 — sequential: the tracker (stateful across frames) and
-	// the per-label statistics (stateful across clips).
-	_, statsSpan := trace.Start(ctx, "ingest.stats")
-	defer statsSpan.End()
+	objs := objectFamily(det, objLabels, geom, cfg.Thresholds.Object, cfg.Score.H)
 	tracker := detect.NewTracker(cfg.TrackerIoU, cfg.TrackerMaxAge)
-	objRows := map[annot.Label][]tables.Row{}
-	actRows := map[annot.Label][]tables.Row{}
-	objInd := map[annot.Label][]bool{}
-	actInd := map[annot.Label][]bool{}
+	objs.post = func(v int, dets []detect.Detection) { tracker.Update(video.FrameIdx(v), dets) }
+	acts := actionFamily(rec, actLabels, geom, cfg.Thresholds.Action, cfg.Score.H)
+	if err := objs.prepare(cfg, nclips, cfg.KernelU, tr.Counter("detect.frame_invocations")); err != nil {
+		return nil, err
+	}
+	// The action kernel spans the same wall-clock extent in shots.
+	actKernel := max(cfg.KernelU/float64(geom.ShotLen), 1)
+	if err := acts.prepare(cfg, nclips, actKernel, tr.Counter("detect.shot_invocations")); err != nil {
+		return nil, err
+	}
 
-	rawScores := map[annot.Label][]float64{}
-	counts := map[annot.Label]int{}
-	for c := 0; c < nclips; c++ {
-		w := &work[c]
-		for _, l := range objLabels {
-			rawScores[l] = rawScores[l][:0]
-			counts[l] = 0
+	var span *trace.Span
+	if cfg.Plan.Enabled() {
+		_, span = trace.Start(ctx, "ingest.plan")
+	} else {
+		// Stage 1 of a dense ingest prefetches every clip's model outputs,
+		// the dominant cost (§5.2): in parallel when cfg.Workers > 1. The
+		// simulated models are deterministic per (seed, label, unit), so
+		// parallel and serial runs produce identical outputs.
+		_, inferSpan := trace.Start(ctx, "ingest.infer")
+		err := prefetch(ctx, nclips, cfg.Workers, func(c video.ClipIdx) {
+			objs.fetch(c)
+			acts.fetch(c)
+		})
+		inferSpan.End()
+		if err != nil {
+			return nil, fmt.Errorf("ingest: video %q: %w", meta.Name, err)
 		}
-		frameLo, _ := geom.FrameRangeOfClip(video.ClipIdx(c))
-		for off, dets := range w.frameDets {
-			dets = tracker.Update(frameLo+video.FrameIdx(off), dets)
-			seen := map[annot.Label]bool{}
-			for _, d := range dets {
-				rawScores[d.Label] = append(rawScores[d.Label], d.Score)
-				if d.Score >= cfg.Thresholds.Object {
-					seen[d.Label] = true
-				}
-			}
-			for l := range seen {
-				counts[l]++
-			}
+		_, span = trace.Start(ctx, "ingest.stats")
+	}
+	defer span.End()
+	// Per clip, each family's window runs through the planner's ladder
+	// (one dense rung for a dense ingest). Sequential: the object tracker
+	// is stateful across frames, the label trackers across clips.
+	for c := video.ClipIdx(0); int(c) < nclips; c++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("ingest: video %q: %w", meta.Name, err)
 		}
-		for _, l := range objLabels {
-			if s := cfg.Score.H.CombineLabel(rawScores[l]); s > 0 {
-				objRows[l] = append(objRows[l], tables.Row{CID: int32(c), Score: s})
-			}
-			pos, err := objTrk[l].ObserveClip(counts[l])
-			if err != nil {
-				return nil, fmt.Errorf("ingest: object %q: %w", l, err)
-			}
-			objInd[l] = append(objInd[l], pos)
+		if err := errors.Join(objs.clip(c, cfg.Plan), acts.clip(c, cfg.Plan)); err != nil {
+			return nil, err
 		}
-
-		for _, l := range actLabels {
-			rawScores[l] = rawScores[l][:0]
-			counts[l] = 0
-		}
-		for _, scores := range w.shotScores {
-			for _, a := range scores {
-				rawScores[a.Label] = append(rawScores[a.Label], a.Score)
-				if a.Score >= cfg.Thresholds.Action {
-					counts[a.Label]++
-				}
-			}
-		}
-		for _, l := range actLabels {
-			if s := cfg.Score.H.CombineLabel(rawScores[l]); s > 0 {
-				actRows[l] = append(actRows[l], tables.Row{CID: int32(c), Score: s})
-			}
-			pos, err := actTrk[l].ObserveClip(counts[l])
-			if err != nil {
-				return nil, fmt.Errorf("ingest: action %q: %w", l, err)
-			}
-			actInd[l] = append(actInd[l], pos)
-		}
-		work[c] = clipWork{} // release the clip's detections
 	}
 
 	vd := &VideoData{
@@ -431,15 +294,37 @@ func VideoCtx(ctx context.Context, det detect.ObjectDetector, rec detect.ActionR
 		ActSeqs:      map[annot.Label]interval.Set{},
 		TracksOpened: tracker.TracksOpened(),
 	}
-	for _, l := range objLabels {
-		vd.ObjTables[l] = tables.NewMemTable(string(l), objRows[l])
-		vd.ObjSeqs[l] = interval.FromIndicators(objInd[l])
+	objs.finish(vd.ObjTables, vd.ObjSeqs)
+	acts.finish(vd.ActTables, vd.ActSeqs)
+	// Fully sampled everywhere (a dense ingest, Rate 1, or every clip
+	// densified): the metadata is exact and carries no PlanInfo.
+	info := &PlanInfo{
+		Rate: cfg.Plan.Rate, Levels: cfg.Plan.Levels,
+		ObjUnitCap: DefaultObjUnitCap, ActUnitCap: DefaultActUnitCap,
+		MissingFrames: objs.missing, MissingShots: acts.missing,
 	}
-	for _, l := range actLabels {
-		vd.ActTables[l] = tables.NewMemTable(string(l), actRows[l])
-		vd.ActSeqs[l] = interval.FromIndicators(actInd[l])
+	if !info.Empty() {
+		vd.Plan = info
 	}
 	return vd, nil
+}
+
+// prefetch calls fetch for every clip in order on max(workers, 1)
+// goroutines, stopping once ctx fires, and returns ctx's error.
+func prefetch(ctx context.Context, nclips, workers int, fetch func(video.ClipIdx)) error {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range max(workers, 1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := next.Add(1) - 1; c < int64(nclips) && ctx.Err() == nil; c = next.Add(1) - 1 {
+				fetch(video.ClipIdx(c))
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
 }
 
 // CandidateSequences computes P_q = P_a ⊗ P_o1 ⊗ ... ⊗ P_oI

@@ -1,17 +1,12 @@
 package ingest
 
 import (
-	"context"
 	"fmt"
 
 	"vaq/internal/annot"
 	"vaq/internal/detect"
-	"vaq/internal/interval"
 	"vaq/internal/plan"
 	"vaq/internal/score"
-	"vaq/internal/svaq"
-	"vaq/internal/tables"
-	"vaq/internal/trace"
 	"vaq/internal/video"
 )
 
@@ -46,9 +41,13 @@ type PlanInfo struct {
 	ActUnitCap float64 `json:"act_unit_cap"`
 	// MissingFrames / MissingShots count the unsampled units per clip;
 	// clips absent from a map were fully sampled. The counts are shared
-	// across labels of the same kind: the ladder densifies a clip's
-	// units for all labels at once (one model invocation scores every
-	// label).
+	// across labels of the same family: one ladder per family per clip
+	// densifies the units for all labels at once (one model invocation
+	// scores every label). A window of at most the planner's MinSample
+	// units runs dense, so at the default geometry (5 shots per clip)
+	// MissingShots stays empty; it is kept for geometries with longer
+	// shot windows and for manifests written by earlier versions, whose
+	// planned ingests sampled shots too.
 	MissingFrames map[int32]int `json:"missing_frames,omitempty"`
 	MissingShots  map[int32]int `json:"missing_shots,omitempty"`
 }
@@ -107,227 +106,6 @@ func (p *PlanInfo) MaxShotSlack() float64 {
 	return float64(m) * p.ActUnitCap
 }
 
-// videoPlanned is the coarse-to-fine counterpart of VideoCtx's two
-// stages: per clip, the frame and shot ladders sample sparsely and
-// densify only while some label's indicator is still undecided by the
-// planner's rules. Inference and statistics interleave per clip (the
-// trackers' critical values are the planner's decision inputs), so the
-// planned path is sequential — cfg.Workers is ignored. At Rate 1 the
-// ladder is the single dense rung and the produced metadata is
-// byte-identical to VideoCtx's.
-func videoPlanned(ctx context.Context, det detect.ObjectDetector, rec detect.ActionRecognizer,
-	meta video.Meta, objLabels, actLabels []annot.Label, cfg Config,
-	objTrk, actTrk map[annot.Label]*svaq.LabelTracker) (*VideoData, error) {
-
-	geom := meta.Geom
-	nclips := meta.Clips()
-	pcfg := cfg.Plan
-	strides := pcfg.Strides()
-
-	tr := trace.FromContext(ctx)
-	ctx, pspan := trace.Start(ctx, "ingest.plan")
-	defer pspan.End()
-	cFrames := tr.Counter("detect.frame_invocations")
-	cShots := tr.Counter("detect.shot_invocations")
-
-	tracker := detect.NewTracker(cfg.TrackerIoU, cfg.TrackerMaxAge)
-	objRows := map[annot.Label][]tables.Row{}
-	actRows := map[annot.Label][]tables.Row{}
-	objInd := map[annot.Label][]bool{}
-	actInd := map[annot.Label][]bool{}
-	rawScores := map[annot.Label][]float64{}
-	counts := map[annot.Label]int{}
-	info := &PlanInfo{
-		Rate: pcfg.Rate, Levels: pcfg.Levels,
-		ObjUnitCap: DefaultObjUnitCap, ActUnitCap: DefaultActUnitCap,
-		MissingFrames: map[int32]int{}, MissingShots: map[int32]int{},
-	}
-
-	for c := 0; c < nclips; c++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("ingest: video %q: %w", meta.Name, err)
-		}
-
-		// Frame ladder: densify while any object label is undecided.
-		if len(objLabels) > 0 {
-			frameLo, frameHi := geom.FrameRangeOfClip(video.ClipIdx(c))
-			w := int(frameHi - frameLo)
-			dets := make([][]detect.Detection, w)
-			sampled := make([]bool, w)
-			m := 0
-			for _, l := range objLabels {
-				counts[l] = 0
-			}
-			decided := map[annot.Label]plan.Decision{}
-			for r := range strides {
-				for _, u := range plan.Offsets(w, strides, r) {
-					d := det.Detect(frameLo+video.FrameIdx(u), objLabels)
-					cFrames.Add(int64(len(objLabels)))
-					dets[u] = d
-					sampled[u] = true
-					m++
-					seen := map[annot.Label]bool{}
-					for _, dd := range d {
-						if dd.Score >= cfg.Thresholds.Object {
-							seen[dd.Label] = true
-						}
-					}
-					for l := range seen {
-						counts[l]++
-					}
-				}
-				all := true
-				for _, l := range objLabels {
-					if decided[l] != plan.Undecided {
-						continue
-					}
-					lt := objTrk[l]
-					if d := pcfg.Decide(w, m, counts[l], lt.K(), lt.P()); d != plan.Undecided {
-						decided[l] = d
-					} else {
-						all = false
-					}
-				}
-				if all {
-					break
-				}
-			}
-			// The tracker and the score tables consume the sampled frames
-			// in ascending order, exactly like the dense stage 2.
-			for _, l := range objLabels {
-				rawScores[l] = rawScores[l][:0]
-			}
-			for u := 0; u < w; u++ {
-				if !sampled[u] {
-					continue
-				}
-				d := tracker.Update(frameLo+video.FrameIdx(u), dets[u])
-				for _, dd := range d {
-					rawScores[dd.Label] = append(rawScores[dd.Label], dd.Score)
-				}
-			}
-			for _, l := range objLabels {
-				if s := cfg.Score.H.CombineLabel(rawScores[l]); s > 0 {
-					objRows[l] = append(objRows[l], tables.Row{CID: int32(c), Score: s})
-				}
-				pos := false
-				switch decided[l] {
-				case plan.Accept:
-					pos = true
-				case plan.Prune:
-					pos = false
-				default: // truncated ladder: extrapolate
-					pos = plan.Finalize(w, m, counts[l], objTrk[l].K())
-				}
-				if err := objTrk[l].ObserveRun(m, counts[l]); err != nil {
-					return nil, fmt.Errorf("ingest: object %q: %w", l, err)
-				}
-				objInd[l] = append(objInd[l], pos)
-			}
-			if m < w {
-				info.MissingFrames[int32(c)] = w - m
-			}
-		}
-
-		// Shot ladder, the action-kind mirror.
-		if len(actLabels) > 0 {
-			shotLo, shotHi := geom.ShotRangeOfClip(video.ClipIdx(c))
-			w := int(shotHi - shotLo)
-			scores := make([][]detect.ActionScore, w)
-			sampled := make([]bool, w)
-			m := 0
-			for _, l := range actLabels {
-				counts[l] = 0
-			}
-			decided := map[annot.Label]plan.Decision{}
-			for r := range strides {
-				for _, u := range plan.Offsets(w, strides, r) {
-					ss := rec.Recognize(shotLo+video.ShotIdx(u), actLabels)
-					cShots.Add(int64(len(actLabels)))
-					scores[u] = ss
-					sampled[u] = true
-					m++
-					for _, a := range ss {
-						if a.Score >= cfg.Thresholds.Action {
-							counts[a.Label]++
-						}
-					}
-				}
-				all := true
-				for _, l := range actLabels {
-					if decided[l] != plan.Undecided {
-						continue
-					}
-					lt := actTrk[l]
-					if d := pcfg.Decide(w, m, counts[l], lt.K(), lt.P()); d != plan.Undecided {
-						decided[l] = d
-					} else {
-						all = false
-					}
-				}
-				if all {
-					break
-				}
-			}
-			for _, l := range actLabels {
-				rawScores[l] = rawScores[l][:0]
-			}
-			for u := 0; u < w; u++ {
-				if !sampled[u] {
-					continue
-				}
-				for _, a := range scores[u] {
-					rawScores[a.Label] = append(rawScores[a.Label], a.Score)
-				}
-			}
-			for _, l := range actLabels {
-				if s := cfg.Score.H.CombineLabel(rawScores[l]); s > 0 {
-					actRows[l] = append(actRows[l], tables.Row{CID: int32(c), Score: s})
-				}
-				pos := false
-				switch decided[l] {
-				case plan.Accept:
-					pos = true
-				case plan.Prune:
-					pos = false
-				default:
-					pos = plan.Finalize(w, m, counts[l], actTrk[l].K())
-				}
-				if err := actTrk[l].ObserveRun(m, counts[l]); err != nil {
-					return nil, fmt.Errorf("ingest: action %q: %w", l, err)
-				}
-				actInd[l] = append(actInd[l], pos)
-			}
-			if m < w {
-				info.MissingShots[int32(c)] = w - m
-			}
-		}
-	}
-
-	vd := &VideoData{
-		Meta:         meta,
-		ObjTables:    map[annot.Label]tables.Table{},
-		ActTables:    map[annot.Label]tables.Table{},
-		ObjSeqs:      map[annot.Label]interval.Set{},
-		ActSeqs:      map[annot.Label]interval.Set{},
-		TracksOpened: tracker.TracksOpened(),
-	}
-	for _, l := range objLabels {
-		vd.ObjTables[l] = tables.NewMemTable(string(l), objRows[l])
-		vd.ObjSeqs[l] = interval.FromIndicators(objInd[l])
-	}
-	for _, l := range actLabels {
-		vd.ActTables[l] = tables.NewMemTable(string(l), actRows[l])
-		vd.ActSeqs[l] = interval.FromIndicators(actInd[l])
-	}
-	// Fully sampled everywhere (Rate 1, or every clip densified): the
-	// metadata is exact and indistinguishable from a dense ingest.
-	if !info.Empty() {
-		vd.Plan = info
-	}
-	return vd, nil
-}
-
 // NewDensifier builds the per-clip exact-score completion RVAQ uses to
 // resolve rankings over a planned repository: given the same detectors
 // the ingest ran (re-reads of already-sampled units hit the shared
@@ -356,30 +134,25 @@ func NewDensifier(vd *VideoData, det detect.ObjectDetector, rec detect.ActionRec
 		if cid < 0 || int(cid) >= nclips {
 			return 0, fmt.Errorf("ingest: densify clip %d outside [0, %d)", cid, nclips)
 		}
+		// The families hold per-clip scratch, so each call builds its own
+		// and concurrent queries may share the densifier. Without trackers
+		// the dense rung samples every unit.
 		actScore := 1.0 // neutral, matching rvaq's ScoreClip
 		if q.Action != "" {
-			shotLo, shotHi := geom.ShotRangeOfClip(video.ClipIdx(cid))
-			var raw []float64
-			for s := shotLo; s < shotHi; s++ {
-				for _, a := range rec.Recognize(s, []annot.Label{q.Action}) {
-					if a.Label == q.Action {
-						raw = append(raw, a.Score)
-					}
-				}
+			acts := actionFamily(rec, []annot.Label{q.Action}, geom, 0, fns.H)
+			if err := acts.sample(video.ClipIdx(cid), plan.Config{}); err != nil {
+				return 0, err
 			}
-			actScore = fns.H.CombineLabel(raw)
+			actScore = acts.scores[0]
 		}
 		objScores := make([]float64, len(q.Objects))
 		if len(q.Objects) > 0 {
-			frameLo, frameHi := geom.FrameRangeOfClip(video.ClipIdx(cid))
-			raws := make(map[annot.Label][]float64, len(q.Objects))
-			for v := frameLo; v < frameHi; v++ {
-				for _, d := range det.Detect(v, q.Objects) {
-					raws[d.Label] = append(raws[d.Label], d.Score)
-				}
+			objs := objectFamily(det, q.Objects, geom, 0, fns.H)
+			if err := objs.sample(video.ClipIdx(cid), plan.Config{}); err != nil {
+				return 0, err
 			}
 			for i, o := range q.Objects {
-				objScores[i] = fns.H.CombineLabel(raws[o])
+				objScores[i] = objs.scores[objs.slot[o]]
 			}
 		}
 		return fns.G.CombineClip(actScore, objScores), nil

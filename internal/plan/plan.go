@@ -36,7 +36,7 @@
 // evaluated densely outright: early stopping on a handful of units
 // saves almost nothing and correlates run length with clip content,
 // which would feed the dynamic background estimator an
-// optional-stopping-biased sample (see Evaluate).
+// optional-stopping-biased sample (see EvaluateAll).
 //
 // Rules 1–2 keep the planner exact in the limit: the final rung is
 // fully dense (stride 1), where rule 1 or rule 2 always fires, so an
@@ -147,42 +147,27 @@ func (c Config) withDefaults() Config {
 // Strides returns the densification ladder: the sampling stride of each
 // rung, halving from Rate down to 1, truncated to Levels rungs when
 // Levels > 0. A disabled planner has the single dense rung [1].
-func (c Config) Strides() []int {
-	if c.Rate <= 1 {
-		return []int{1}
+func (c Config) Strides() []int { return c.appendStrides(nil) }
+
+// appendStrides appends the ladder to dst (integer halving always lands
+// on 1, so an untruncated ladder ends with the dense rung).
+func (c Config) appendStrides(dst []int) []int {
+	for s := max(c.Rate, 1); s >= 1 && (c.Levels == 0 || len(dst) < c.Levels); s /= 2 {
+		dst = append(dst, s)
 	}
-	var out []int
-	for s := c.Rate; s >= 1; s /= 2 {
-		out = append(out, s)
-	}
-	if out[len(out)-1] != 1 {
-		out = append(out, 1)
-	}
-	if c.Levels > 0 && len(out) > c.Levels {
-		out = out[:c.Levels]
-	}
-	return out
+	return dst
 }
 
-// Offsets returns, in ascending order, the unit offsets of [0, w) newly
-// sampled at rung r of the ladder: the multiples of strides[r] that no
-// earlier rung already covered. Over all rungs of a full ladder the
-// offsets partition [0, w).
-func Offsets(w int, strides []int, r int) []int {
-	var out []int
-units:
-	for u := 0; u < w; u++ {
-		if u%strides[r] != 0 {
-			continue
+// newAt reports whether unit u, a multiple of strides[r], is first
+// sampled at rung r: no earlier rung's stride divides it. Over all rungs
+// of a full ladder the rungs' new units partition the window.
+func newAt(u int, strides []int, r int) bool {
+	for _, s := range strides[:r] {
+		if u%s == 0 {
+			return false
 		}
-		for _, s := range strides[:r] {
-			if u%s == 0 {
-				continue units
-			}
-		}
-		out = append(out, u)
 	}
-	return out
+	return true
 }
 
 // Decision is the outcome of one rung's decision rules.
@@ -223,17 +208,12 @@ const (
 	ReasonExtrapolated = "extrapolated"
 )
 
-// Decide applies the four decision rules to one predicate window:
-// w units total, sampled of them evaluated, count positive among those,
-// against critical value k and background probability p. At full
-// density (sampled ≥ w) the sound rules always decide.
-func (c Config) Decide(w, sampled, count, k int, p float64) Decision {
-	d, _ := c.decide(w, sampled, count, k, p)
-	return d
-}
-
-// decide is Decide plus the reason constant naming the rule that fired
-// (empty while undecided).
+// decide applies the four decision rules to one predicate window: w
+// units total, sampled of them evaluated, count positive among those,
+// against critical value k and background probability p. It returns the
+// decision and the reason constant naming the rule that fired (empty
+// while undecided). At full density (sampled ≥ w) the sound rules always
+// decide.
 func (c Config) decide(w, sampled, count, k int, p float64) (Decision, string) {
 	if count >= k {
 		return Accept, ReasonSoundAccept // rule 1 (sound)
@@ -304,16 +284,33 @@ type Result struct {
 	Reason string
 }
 
-// Evaluate runs the coarse-to-fine loop for one predicate over a
-// w-unit window with critical value k and background probability p,
-// probing units through eval (offsets in [0, w), each at most once,
-// in deterministic order). Unit evaluation stops the moment a rung's
-// decision fires.
-func (c Config) Evaluate(w, k int, p float64, eval func(unit int) (bool, error)) (Result, error) {
+// Pred is one predicate of a shared window (EvaluateAll): its critical
+// value K and background probability P go in, its Result comes out. The
+// probe reports a positive unit by setting Hit, which the evaluator
+// counts and clears.
+type Pred struct {
+	K   int
+	P   float64
+	Hit bool
+	Result
+}
+
+// EvaluateAll runs the coarse-to-fine loop for several predicates over
+// one shared w-unit window, probing each sampled unit once for all of
+// them (offsets in [0, w), each at most once, in deterministic order).
+// Each predicate is decided by the rules on its own count, and unit
+// evaluation stops at the first rung boundary where every predicate is
+// decided. A predicate decided on an early rung keeps counting the units
+// later rungs sample for the others, so every Result's Sampled and Count
+// describe the whole shared sample — the run a background estimator
+// consumes. A disabled planner's ladder is the single dense rung.
+// preds is caller-owned scratch, reset on entry; EvaluateAll allocates
+// nothing.
+func (c Config) EvaluateAll(w int, preds []Pred, probe func(unit int) error) error {
 	if w <= 0 {
-		return Result{}, fmt.Errorf("plan: window must be positive, got %d", w)
+		return fmt.Errorf("plan: window must be positive, got %d", w)
 	}
-	strides := c.Strides()
+	strides := []int{1}
 	// Windows no longer than MinSample evaluate densely: the statistical
 	// rules cannot fire below MinSample units anyway, and even the sound
 	// rules' early stopping is harmful on a handful of units — the run
@@ -321,43 +318,67 @@ func (c Config) Evaluate(w, k int, p float64, eval func(unit int) (bool, error))
 	// early, positive runs go deep), which feeds the dynamic background
 	// estimator an optional-stopping-biased sample. The units saved on
 	// such windows are negligible next to the long (object) windows.
-	if w <= c.withDefaults().MinSample {
-		strides = []int{1}
+	if c.Enabled() && w > c.withDefaults().MinSample {
+		var buf [64]int // a ladder halves an int at most 63 times
+		strides = c.appendStrides(buf[:0])
 	}
-	res := Result{}
-	for r := range strides {
-		for _, u := range Offsets(w, strides, r) {
-			pos, err := eval(u)
-			if err != nil {
-				return res, err
+	for i := range preds {
+		preds[i] = Pred{K: preds[i].K, P: preds[i].P}
+	}
+	sampled, undecided := 0, len(preds)
+	for r := 0; r < len(strides) && undecided > 0; r++ {
+		for u := 0; u < w; u += strides[r] {
+			if !newAt(u, strides, r) {
+				continue
 			}
-			res.Sampled++
-			if pos {
-				res.Count++
+			if err := probe(u); err != nil {
+				return err
+			}
+			sampled++
+			for i := range preds {
+				if preds[i].Hit {
+					preds[i].Count++
+					preds[i].Hit = false
+				}
 			}
 		}
-		if r == 0 {
-			res.BaseSampled = res.Sampled
-		}
-		res.Rungs = r + 1
-		d, reason := c.decide(w, res.Sampled, res.Count, k, p)
-		switch d {
-		case Accept:
-			res.Positive = true
-			res.Exact = res.Count >= k
-			res.Reason = reason
-			return res, nil
-		case Prune:
-			res.Positive = false
-			res.Exact = res.Count+(w-res.Sampled) < k
-			res.Reason = reason
-			return res, nil
+		for i := range preds {
+			p := &preds[i]
+			p.Sampled = sampled
+			if r == 0 {
+				p.BaseSampled = sampled
+			}
+			if p.Reason != "" {
+				continue // decided on an earlier rung
+			}
+			p.Rungs = r + 1
+			d, reason := c.decide(w, sampled, p.Count, p.K, p.P)
+			if d == Undecided {
+				continue
+			}
+			p.Positive, p.Reason = d == Accept, reason
+			p.Exact = p.Count >= p.K || p.Count+(w-sampled) < p.K
+			undecided--
 		}
 	}
-	// Truncated ladder exhausted while undecided: extrapolate.
-	res.Positive = Finalize(w, res.Sampled, res.Count, k)
-	res.Reason = ReasonExtrapolated
-	return res, nil
+	// A truncated ladder exhausted while undecided: extrapolate.
+	for i := range preds {
+		if p := &preds[i]; p.Reason == "" {
+			p.Positive, p.Reason = Finalize(w, sampled, p.Count, p.K), ReasonExtrapolated
+		}
+	}
+	return nil
+}
+
+// Evaluate is EvaluateAll for a single predicate with critical value k
+// and background probability p, probing units through eval.
+func (c Config) Evaluate(w, k int, p float64, eval func(unit int) (bool, error)) (Result, error) {
+	one := [1]Pred{{K: k, P: p}}
+	err := c.EvaluateAll(w, one[:], func(u int) (err error) {
+		one[0].Hit, err = eval(u)
+		return err
+	})
+	return one[0].Result, err
 }
 
 // Stats accumulates planner outcomes across clips.
@@ -398,13 +419,4 @@ func (s *Stats) Add(o Stats) {
 	s.Densified += o.Densified
 	s.Units += o.Units
 	s.UnitsDense += o.UnitsDense
-}
-
-// Savings is the invocation-reduction factor versus dense evaluation
-// (1 when nothing was planned).
-func (s Stats) Savings() float64 {
-	if s.Units == 0 || s.UnitsDense == 0 {
-		return 1
-	}
-	return float64(s.UnitsDense) / float64(s.Units)
 }

@@ -79,7 +79,7 @@ func TestOffsetsPartition(t *testing.T) {
 			strides := Config{Rate: rate}.Strides()
 			seen := make([]int, w)
 			for r := range strides {
-				offs := Offsets(w, strides, r)
+				offs := offsets(w, strides, r)
 				for i, u := range offs {
 					if u < 0 || u >= w {
 						t.Fatalf("rate %d w %d rung %d: offset %d outside [0, %d)", rate, w, r, u, w)
@@ -99,6 +99,24 @@ func TestOffsetsPartition(t *testing.T) {
 	}
 }
 
+// offsets lists, in ascending order, the units of [0, w) first sampled at
+// rung r — the order EvaluateAll probes them in.
+func offsets(w int, strides []int, r int) []int {
+	var out []int
+	for u := 0; u < w; u += strides[r] {
+		if newAt(u, strides, r) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// decision is decide without the reason.
+func decision(c Config, w, sampled, count, k int, p float64) Decision {
+	d, _ := c.decide(w, sampled, count, k, p)
+	return d
+}
+
 func TestDecisionString(t *testing.T) {
 	for d, want := range map[Decision]string{Accept: "accept", Prune: "prune", Undecided: "undecided", Decision(42): "undecided"} {
 		if got := d.String(); got != want {
@@ -110,18 +128,18 @@ func TestDecisionString(t *testing.T) {
 func TestDecideSoundRules(t *testing.T) {
 	var c Config
 	// Rule 1: count already clears k, no matter how sparse the sample.
-	if got := c.Decide(100, 3, 5, 5, 0.01); got != Accept {
+	if got := decision(c, 100, 3, 5, 5, 0.01); got != Accept {
 		t.Errorf("rule 1: got %v, want accept", got)
 	}
 	// Rule 2: even all-positive remaining units cannot reach k.
-	if got := c.Decide(100, 98, 0, 3, 0.01); got != Prune {
+	if got := decision(c, 100, 98, 0, 3, 0.01); got != Prune {
 		t.Errorf("rule 2: got %v, want prune", got)
 	}
 	// Full density always decides, regardless of the statistical knobs.
-	if got := c.Decide(50, 50, 10, 10, 0.5); got != Accept {
+	if got := decision(c, 50, 50, 10, 10, 0.5); got != Accept {
 		t.Errorf("dense accept: got %v, want accept", got)
 	}
-	if got := c.Decide(50, 50, 9, 10, 0.5); got != Prune {
+	if got := decision(c, 50, 50, 9, 10, 0.5); got != Prune {
 		t.Errorf("dense prune: got %v, want prune", got)
 	}
 }
@@ -130,12 +148,12 @@ func TestDecideMinSampleGate(t *testing.T) {
 	var c Config
 	// Below DefaultMinSample the statistical rules stay silent even on a
 	// sample that would otherwise extrapolate far past k.
-	if got := c.Decide(1000, 4, 3, 10, 1e-4); got != Undecided {
+	if got := decision(c, 1000, 4, 3, 10, 1e-4); got != Undecided {
 		t.Errorf("below MinSample: got %v, want undecided", got)
 	}
 	// An explicit MinSample of 1 re-enables them at the same sample.
 	c1 := Config{MinSample: 1}
-	if got := c1.Decide(1000, 4, 3, 10, 1e-4); got == Undecided {
+	if got := decision(c1, 1000, 4, 3, 10, 1e-4); got == Undecided {
 		t.Errorf("MinSample 1: statistical rules still gated")
 	}
 }
@@ -145,13 +163,13 @@ func TestDecideScaledAccept(t *testing.T) {
 	// 30 positives in 100 samples over w=1000 with k=50: extrapolation
 	// 300 >= Margin*k = 100 and the sample is wildly inconsistent with
 	// the critical density 0.05 (mean 5, observed 30).
-	if got := c.Decide(1000, 100, 30, 50, 1e-4); got != Accept {
+	if got := decision(c, 1000, 100, 30, 50, 1e-4); got != Accept {
 		t.Errorf("scaled accept: got %v, want accept", got)
 	}
 	// Significance gate: a single positive in 10 samples extrapolates to
 	// 100 >= Margin*k = 4, but P(X>=1 | n=10, p=k/w=0.002) ~ 0.02 > Tail,
 	// so a lone detector false positive must NOT accept the clip.
-	if got := c.Decide(1000, 10, 1, 2, 1e-5); got == Accept {
+	if got := decision(c, 1000, 10, 1, 2, 1e-5); got == Accept {
 		t.Errorf("significance gate: lone positive accepted")
 	}
 }
@@ -162,20 +180,20 @@ func TestDecideBackgroundPrune(t *testing.T) {
 	// gate holds (a critical-density clip would beat 0 with prob ~0.92),
 	// the sample looks like background, and 750 remaining background
 	// units cannot plausibly produce 10 events.
-	if got := c.Decide(1000, 250, 0, 10, 1e-4); got != Prune {
+	if got := decision(c, 1000, 250, 0, 10, 1e-4); got != Prune {
 		t.Errorf("background prune: got %v, want prune", got)
 	}
 	// Power gate: the same zero count on only 100 samples is still
 	// consistent with a critical-density clip (P(X>=1) ~ 0.63 < 1-Power),
 	// so the rung must densify instead of pruning.
-	if got := c.Decide(1000, 100, 0, 10, 1e-4); got != Undecided {
+	if got := decision(c, 1000, 100, 0, 10, 1e-4); got != Undecided {
 		t.Errorf("power gate: got %v, want undecided", got)
 	}
 	// Background-consistency gate: 3 positives in 900 samples are
 	// significant against p=1e-5 (the sample does NOT look like
 	// background), so the clip must not be pruned by a background model
 	// that does not describe it.
-	if got := c.Decide(1000, 900, 3, 10, 1e-5); got == Prune {
+	if got := decision(c, 1000, 900, 3, 10, 1e-5); got == Prune {
 		t.Errorf("background-consistency gate: significant sample pruned")
 	}
 }
@@ -184,7 +202,7 @@ func TestDecideZeroBackground(t *testing.T) {
 	// p = 0 must not panic and must still prune a zero-count sample with
 	// enough power.
 	var c Config
-	if got := c.Decide(1000, 250, 0, 10, 0); got != Prune {
+	if got := decision(c, 1000, 250, 0, 10, 0); got != Prune {
 		t.Errorf("p=0 prune: got %v, want prune", got)
 	}
 }
@@ -400,19 +418,12 @@ func TestStats(t *testing.T) {
 	if s.Units != 150 || s.UnitsDense != 300 {
 		t.Errorf("units = %d/%d, want 150/300", s.Units, s.UnitsDense)
 	}
-	if got := s.Savings(); got != 2 {
-		t.Errorf("Savings() = %v, want 2", got)
-	}
 
 	var o Stats
 	o.Observe(50, Result{Positive: false, Sampled: 10})
 	s.Add(o)
 	if s.Clips != 4 || s.Pruned != 2 || s.Units != 160 || s.UnitsDense != 350 {
 		t.Errorf("after Add: %+v", s)
-	}
-
-	if got := (Stats{}).Savings(); got != 1 {
-		t.Errorf("empty Savings() = %v, want 1", got)
 	}
 }
 
@@ -422,4 +433,180 @@ func ExampleConfig_Strides() {
 	// Output:
 	// [8 4 2 1]
 	// [8 4]
+}
+
+// shared builds n predicates over one window with the given critical
+// values at background 1e-4, and a probe that records the unit order and
+// sets each predicate's Hit from its layout.
+func shared(ks []int, layouts []func(u int) bool) ([]Pred, *[]int, func(u int) error) {
+	preds := make([]Pred, len(ks))
+	for i, k := range ks {
+		preds[i] = Pred{K: k, P: 1e-4}
+	}
+	order := new([]int)
+	return preds, order, func(u int) error {
+		*order = append(*order, u)
+		for i, pos := range layouts {
+			preds[i].Hit = pos(u)
+		}
+		return nil
+	}
+}
+
+// TestEvaluateAllDecidedKeepsCounting: a predicate accepted on the base
+// rung still counts the units later rungs sample for an undecided one,
+// so its Sampled and Count cover the whole shared sample.
+func TestEvaluateAllDecidedKeepsCounting(t *testing.T) {
+	all := func(int) bool { return true }
+	clustered := func(u int) bool { return u < 12 } // needs full density at k=13
+	preds, order, probe := shared([]int{3, 13}, []func(int) bool{all, clustered})
+	if err := (Config{Rate: 4}).EvaluateAll(100, preds, probe); err != nil {
+		t.Fatal(err)
+	}
+	a, b := preds[0], preds[1]
+	if !a.Positive || !a.Exact || a.Rungs != 1 || a.Reason != ReasonSoundAccept {
+		t.Errorf("early predicate = %+v, want a sound accept on the base rung", a.Result)
+	}
+	if b.Positive || !b.Exact || b.Rungs != 3 {
+		t.Errorf("late predicate = %+v, want an exact negative on the dense rung", b.Result)
+	}
+	if len(*order) != 100 || a.Sampled != 100 || b.Sampled != 100 || a.BaseSampled != 25 {
+		t.Errorf("probed %d units, Sampled %d/%d, BaseSampled %d; want 100, 100/100, 25",
+			len(*order), a.Sampled, b.Sampled, a.BaseSampled)
+	}
+	if a.Count != 100 || b.Count != 12 {
+		t.Errorf("counts %d/%d, want the whole shared sample's 100/12", a.Count, b.Count)
+	}
+}
+
+// TestEvaluateAllStopsWhenAllDecided: once every predicate is decided the
+// ladder probes nothing more.
+func TestEvaluateAllStopsWhenAllDecided(t *testing.T) {
+	all := func(int) bool { return true }
+	none := func(int) bool { return false }
+	preds, order, probe := shared([]int{3, 10}, []func(int) bool{all, none})
+	if err := (Config{Rate: 4}).EvaluateAll(1000, preds, probe); err != nil {
+		t.Fatal(err)
+	}
+	if len(*order) != 250 {
+		t.Errorf("probed %d units, want only the 250-unit base rung", len(*order))
+	}
+	if !preds[0].Positive || preds[0].Reason != ReasonSoundAccept ||
+		preds[1].Positive || preds[1].Reason != ReasonBgTailPrune {
+		t.Errorf("decisions %+v / %+v, want sound accept and background prune", preds[0].Result, preds[1].Result)
+	}
+}
+
+// TestEvaluateAllTruncatedFinalizesEach: a truncated ladder settles each
+// still-undecided predicate by its own density extrapolation.
+func TestEvaluateAllTruncatedFinalizesEach(t *testing.T) {
+	hi := func(u int) bool { return u < 40 } // 10 of 25 sampled: 40 ≥ 30
+	lo := func(u int) bool { return u < 28 } // 7 of 25 sampled: 28 < 30
+	preds, _, probe := shared([]int{30, 30}, []func(int) bool{hi, lo})
+	for i := range preds {
+		preds[i].P = 0.3
+	}
+	if err := (Config{Rate: 4, Levels: 1}).EvaluateAll(100, preds, probe); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{true, false} {
+		r := preds[i].Result
+		if r.Positive != want || r.Exact || r.Reason != ReasonExtrapolated || r.Sampled != 25 || r.Rungs != 1 {
+			t.Errorf("predicate %d = %+v, want extrapolated %v from the 25-unit rung", i, r, want)
+		}
+	}
+}
+
+// TestEvaluateAllShortWindowDense: a window of at most MinSample units is
+// evaluated densely in order for every predicate, even one a sparse rung
+// would already have decided.
+func TestEvaluateAllShortWindowDense(t *testing.T) {
+	all := func(int) bool { return true }
+	last := func(u int) bool { return u == 4 }
+	preds, order, probe := shared([]int{1, 2}, []func(int) bool{all, last})
+	if err := (Config{Rate: 8}).EvaluateAll(5, preds, probe); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*order, ident(5)) {
+		t.Errorf("short window order = %v, want 0..4 dense", *order)
+	}
+	for i, want := range []Result{
+		{Positive: true, Exact: true, Sampled: 5, Count: 5, BaseSampled: 5, Rungs: 1, Reason: ReasonSoundAccept},
+		{Positive: false, Exact: true, Sampled: 5, Count: 1, BaseSampled: 5, Rungs: 1, Reason: ReasonSoundPrune},
+	} {
+		if preds[i].Result != want {
+			t.Errorf("predicate %d = %+v, want %+v", i, preds[i].Result, want)
+		}
+	}
+}
+
+// TestEvaluateAllMatchesEvaluate runs TestEvaluateMatchesDense's grid:
+// one predicate through EvaluateAll equals Evaluate in result and probe
+// order, and with every layout sharing one window each predicate reaches
+// the decision, rung and reason its solo evaluation reaches.
+func TestEvaluateAllMatchesEvaluate(t *testing.T) {
+	layouts := []func(u int) bool{
+		func(u int) bool { return false },
+		func(u int) bool { return true },
+		func(u int) bool { return u%9 == 0 },
+		func(u int) bool { return u < 5 },
+		func(u int) bool { return u >= 45 },
+	}
+	for _, w := range []int{50, 101} {
+		for _, k := range []int{1, 3, 10} {
+			for _, rate := range []int{1, 2, 8} {
+				cfg := Config{Rate: rate}
+				ks := make([]int, len(layouts))
+				solo := make([]Result, len(layouts))
+				for li, pos := range layouts {
+					ks[li] = k
+					p := &probe{pos: pos}
+					res, err := cfg.Evaluate(w, k, 1e-4, p.eval)
+					if err != nil {
+						t.Fatal(err)
+					}
+					solo[li] = res
+					preds, order, pr := shared([]int{k}, layouts[li:li+1])
+					if err := cfg.EvaluateAll(w, preds, pr); err != nil {
+						t.Fatal(err)
+					}
+					if preds[0].Result != res || !reflect.DeepEqual(*order, p.order) {
+						t.Errorf("layout %d w=%d k=%d rate=%d: EvaluateAll %+v %v, Evaluate %+v %v",
+							li, w, k, rate, preds[0].Result, *order, res, p.order)
+					}
+				}
+				preds, _, pr := shared(ks, layouts)
+				if err := cfg.EvaluateAll(w, preds, pr); err != nil {
+					t.Fatal(err)
+				}
+				for li, s := range solo {
+					r := preds[li].Result
+					if r.Positive != s.Positive || r.Exact != s.Exact || r.Rungs != s.Rungs || r.Reason != s.Reason || r.Sampled < s.Sampled {
+						t.Errorf("layout %d w=%d k=%d rate=%d: shared %+v, solo %+v", li, w, k, rate, r, s)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluateAllAllocatesNothing: with caller-owned scratch, neither the
+// dense rung nor a Rate-8 ladder allocates.
+func TestEvaluateAllAllocatesNothing(t *testing.T) {
+	preds := []Pred{{K: 3, P: 1e-4}, {K: 9, P: 1e-3}}
+	probe := func(u int) error {
+		preds[0].Hit = u%13 == 0
+		preds[1].Hit = u%5 == 0 || u == 77
+		return nil
+	}
+	for _, cfg := range []Config{{}, {Rate: 8}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := cfg.EvaluateAll(200, preds, probe); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("rate %d: %v allocs per evaluation, want 0", cfg.Rate, allocs)
+		}
+	}
 }

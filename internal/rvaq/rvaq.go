@@ -106,7 +106,7 @@ type Options struct {
 	// pre-existing behavior).
 	Partial bool
 	// DegradedDiscount, in (0, 1], down-weights clips the repository
-	// marked degraded at ingest time (VideoData.DegradedClips): a
+	// marked degraded at ingest time (VideoData.DegradedClipHops): a
 	// degraded clip's exact score is multiplied by (1 − discount), and
 	// results whose sequence contains a degraded clip carry
 	// SeqResult.Degraded. The frontier bounds stay valid — a discounted

@@ -67,7 +67,11 @@ func BenchmarkProcessClipShortCircuit(b *testing.B) {
 	}
 }
 
-// BenchmarkLabelTrackerObserve isolates the per-clip statistics update.
+// indicatorSink keeps the benchmarked indicator computation alive.
+var indicatorSink bool
+
+// BenchmarkLabelTrackerObserve isolates the per-clip statistics update:
+// the dense indicator against K(), then the tracker's ObserveRun.
 func BenchmarkLabelTrackerObserve(b *testing.B) {
 	lt, err := NewLabelTracker(TrackerConfig{
 		UnitsPerClip: 50, HorizonClips: 100000, P0: 1e-4, Dynamic: true,
@@ -77,7 +81,8 @@ func BenchmarkLabelTrackerObserve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lt.ObserveClip(i % 3); err != nil {
+		indicatorSink = i%3 >= lt.K()
+		if err := lt.ObserveRun(50, i%3); err != nil {
 			b.Fatal(err)
 		}
 	}

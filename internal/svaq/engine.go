@@ -177,7 +177,7 @@ const (
 
 // predicate is one distinct predicate of the query, built once at
 // construction: its scan-statistics tracker and the probe that turns one
-// occurrence unit (an absolute frame index; a shot index for actions)
+// occurrence unit of the clip being evaluated (an offset from first)
 // into a prediction indicator.
 type predicate struct {
 	kind  predKind
@@ -185,7 +185,8 @@ type predicate struct {
 	name  string      // "obj:car", "rel:a near b", "act:run": spans, EXPLAIN, Order
 	idx   int         // slot in Engine.preds and ClipResult.Counts
 	trk   *LabelTracker
-	probe func(unit int) bool
+	probe func(offset int) (bool, error)
+	first int // the clip's first unit (frame; shot for actions)
 
 	positive bool   // this clip's indicator, valid while Counts[idx] ≥ 0
 	log      []bool // indicator stream (RecordIndicators; not for relations)
@@ -349,10 +350,11 @@ func (e *Engine) labelPredicate(kind predKind, l annot.Label) (*predicate, error
 	})
 }
 
-// addPredicate appends a predicate with a fresh tracker. Object and
-// relation trackers count frames; the action tracker works in shots,
-// its kernel scaled to span the same wall-clock extent.
-func (e *Engine) addPredicate(kind predKind, l annot.Label, name string, probe func(int) bool) (*predicate, error) {
+// addPredicate appends a predicate with a fresh tracker; probe maps an
+// absolute unit to its prediction indicator. Object and relation
+// trackers count frames; the action tracker works in shots, its kernel
+// scaled to span the same wall-clock extent.
+func (e *Engine) addPredicate(kind predKind, l annot.Label, name string, probe func(unit int) bool) (*predicate, error) {
 	tc := e.cfg.trackerConfig(e.geom.ClipLen(), e.cfg.P0Object, e.cfg.KernelU)
 	if kind == predAction {
 		tc = e.cfg.trackerConfig(e.geom.ShotsPerClip, e.cfg.P0Action, max(e.cfg.KernelU/float64(e.geom.ShotLen), 1))
@@ -361,7 +363,15 @@ func (e *Engine) addPredicate(kind predKind, l annot.Label, name string, probe f
 	if err != nil {
 		return nil, fmt.Errorf("svaq: %s: %w", name, err)
 	}
-	p := &predicate{kind: kind, label: l, name: name, idx: len(e.preds), trk: lt, probe: probe}
+	p := &predicate{kind: kind, label: l, name: name, idx: len(e.preds), trk: lt}
+	record := e.cfg.RecordIndicators && kind != predRelation
+	p.probe = func(off int) (bool, error) {
+		pos := probe(p.first + off)
+		if record { // dense only, so the stream stays in unit order
+			p.log = append(p.log, pos)
+		}
+		return pos, nil
+	}
 	e.preds = append(e.preds, p)
 	e.counts = append(e.counts, -1)
 	return p, nil
@@ -537,47 +547,34 @@ func (e *Engine) unitsOf(p *predicate, c video.ClipIdx) (first, w int, units *tr
 	return int(lo), int(hi - lo), e.cFrames
 }
 
-// evalPredicate computes one predicate's indicator on clip c — densely,
-// or on the planner's coarse-to-fine subsample — and feeds its tracker,
-// the clip result, the invocation counters and EXPLAIN.
+// evalPredicate computes one predicate's indicator on clip c through the
+// planner's ladder — the single dense rung unless the predicate is
+// planned — and feeds its tracker, the clip result, the invocation
+// counters and EXPLAIN.
 func (e *Engine) evalPredicate(p *predicate, c video.ClipIdx, res *ClipResult) error {
 	first, w, units := e.unitsOf(p, c)
-	obs := explain.PredObservation{Name: p.name, Units: w}
-	var count int
-	var err error
+	var pcfg plan.Config
 	if e.planned(p) {
-		var pr plan.Result
-		pr, err = e.cfg.Plan.Evaluate(w, p.trk.K(), p.trk.P(), func(u int) (bool, error) {
-			return p.probe(first + u), nil
-		})
-		if err != nil {
-			return fmt.Errorf("svaq: %s: %w", p.name, err)
-		}
-		e.planStats.Observe(w, pr)
-		count, p.positive = pr.Count, pr.Positive
-		obs.Planned, obs.Units, obs.BaseUnits, obs.Rungs, obs.Reason = true, pr.Sampled, pr.BaseSampled, pr.Rungs, pr.Reason
-		err = p.trk.ObserveRun(pr.Sampled, pr.Count)
-	} else {
-		record := e.cfg.RecordIndicators && p.kind != predRelation
-		for u := first; u < first+w; u++ {
-			pos := p.probe(u)
-			if pos {
-				count++
-			}
-			if record {
-				p.log = append(p.log, pos)
-			}
-		}
-		p.positive, err = p.trk.ObserveClip(count)
+		pcfg = e.cfg.Plan
 	}
-	res.Invocations += obs.Units
-	units.Add(int64(obs.Units))
-	res.Counts[p.idx] = count
+	p.first = first
+	pr, err := pcfg.Evaluate(w, p.trk.K(), p.trk.P(), p.probe)
 	if err != nil {
 		return fmt.Errorf("svaq: %s: %w", p.name, err)
 	}
+	obs := explain.PredObservation{Name: p.name, Units: pr.Sampled, Positive: pr.Positive}
+	if pcfg.Enabled() {
+		e.planStats.Observe(w, pr)
+		obs.Planned, obs.BaseUnits, obs.Rungs, obs.Reason = true, pr.BaseSampled, pr.Rungs, pr.Reason
+	}
+	p.positive = pr.Positive
+	res.Invocations += pr.Sampled
+	units.Add(int64(pr.Sampled))
+	res.Counts[p.idx] = pr.Count
+	if err := p.trk.ObserveRun(pr.Sampled, pr.Count); err != nil {
+		return fmt.Errorf("svaq: %s: %w", p.name, err)
+	}
 	if e.ex != nil {
-		obs.Positive = p.positive
 		e.ex.ObservePredicate(obs)
 	}
 	return nil

@@ -172,35 +172,18 @@ func withinTol(p, ref, rel float64) bool {
 	return d/ref <= rel
 }
 
-// ObserveClip consumes one clip's positive-prediction count and returns
-// the clip indicator (count ≥ k_crit). In dynamic mode it also feeds the
-// background estimator and refreshes the critical value.
-func (lt *LabelTracker) ObserveClip(count int) (bool, error) {
-	positive := count >= lt.k
-	if lt.dynamic {
-		// §1: the background distribution describes model predictions
-		// when the predicate is NOT satisfied; clips whose counts are
-		// already significant for a single window are excluded so true
-		// event-dense segments cannot contaminate the estimate.
-		if count < lt.kExcl {
-			lt.est.ObserveRun(lt.w, count)
-		}
-		if err := lt.recompute(); err != nil {
-			return positive, err
-		}
-	}
-	return positive, nil
-}
-
-// ObserveRun folds a partially sampled clip into the tracker: the
-// adaptive sampling planner evaluated `units` of the clip's w units and
-// `count` of them were positive. No indicator is derived — the planner
-// decides it from its own bounds — but in dynamic mode the estimator
-// consumes the run (with the exclusion threshold scaled to the sample
-// size, so subsampled background clips are excluded at the same
-// per-unit density as dense ones) and the critical value is refreshed.
-// A fully sampled run (units == w) updates the tracker byte-identically
-// to ObserveClip.
+// ObserveRun folds one clip's evaluation into the tracker: `units` of
+// the clip's w units were evaluated and `count` of them were positive.
+// No indicator is derived — the caller decides it against K() before
+// observing (count ≥ k_crit on a fully sampled clip; the planner's rules
+// otherwise). In dynamic mode the estimator consumes the run and the
+// critical value is refreshed. §1: the background distribution describes
+// model predictions when the predicate is NOT satisfied, so runs whose
+// counts are already significant for a single window are excluded and
+// true event-dense segments cannot contaminate the estimate; on a
+// partially sampled clip the exclusion threshold is scaled to the sample
+// size, so subsampled background clips are excluded at the same per-unit
+// density as dense ones.
 func (lt *LabelTracker) ObserveRun(units, count int) error {
 	if units <= 0 || units > lt.w {
 		return fmt.Errorf("svaq: ObserveRun units %d outside [1, %d]", units, lt.w)
@@ -224,10 +207,6 @@ func (lt *LabelTracker) ObserveRun(units, count int) error {
 	}
 	return lt.recompute()
 }
-
-// Indicator returns the clip indicator for a count without mutating the
-// tracker.
-func (lt *LabelTracker) Indicator(count int) bool { return count >= lt.k }
 
 // K returns the current detection critical value.
 func (lt *LabelTracker) K() int { return lt.k }

@@ -28,7 +28,7 @@ func TestStaticTrackerKeepsK(t *testing.T) {
 	}
 	k0 := lt.K()
 	for i := 0; i < 200; i++ {
-		if _, err := lt.ObserveClip(i % 50); err != nil {
+		if err := lt.ObserveRun(50, i%50); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func TestDynamicTrackerConvergesToNoiseRate(t *testing.T) {
 				count++
 			}
 		}
-		if _, err := lt.ObserveClip(count); err != nil {
+		if err := lt.ObserveRun(50, count); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,12 +64,11 @@ func TestDynamicTrackerConvergesToNoiseRate(t *testing.T) {
 	// A true event burst (45/50 units) must be flagged positive and
 	// must NOT move the background estimate.
 	before := lt.P()
-	pos, err := lt.ObserveClip(45)
-	if err != nil {
-		t.Fatal(err)
+	if 45 < lt.K() {
+		t.Fatalf("dense clip not positive: k = %d", lt.K())
 	}
-	if !pos {
-		t.Fatal("dense clip not positive")
+	if err := lt.ObserveRun(50, 45); err != nil {
+		t.Fatal(err)
 	}
 	if lt.P() != before {
 		t.Fatalf("dense clip contaminated the estimate: %v -> %v", before, lt.P())
@@ -96,7 +95,7 @@ func TestDynamicTrackerPriorWashesOut(t *testing.T) {
 					count++
 				}
 			}
-			if _, err := lt.ObserveClip(count); err != nil {
+			if err := lt.ObserveRun(50, count); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -104,17 +103,6 @@ func TestDynamicTrackerPriorWashesOut(t *testing.T) {
 	}
 	if finalK[1e-6] != finalK[1e-2] {
 		t.Fatalf("priors did not wash out: k=%v", finalK)
-	}
-}
-
-func TestTrackerIndicatorPure(t *testing.T) {
-	lt, _ := NewLabelTracker(TrackerConfig{UnitsPerClip: 50, HorizonClips: 100, P0: 1e-3})
-	k := lt.K()
-	if lt.Indicator(k-1) || !lt.Indicator(k) {
-		t.Fatal("Indicator boundary wrong")
-	}
-	if lt.K() != k {
-		t.Fatal("Indicator mutated the tracker")
 	}
 }
 
@@ -254,28 +242,26 @@ func TestObserveRunValidation(t *testing.T) {
 	}
 }
 
-// TestObserveRunFullMatchesObserveClip: a fully sampled run must update
-// the tracker byte-identically to the dense ObserveClip path.
-func TestObserveRunFullMatchesObserveClip(t *testing.T) {
-	mk := func() *LabelTracker {
-		lt, err := NewLabelTracker(TrackerConfig{UnitsPerClip: 50, HorizonClips: 2000, P0: 1e-4, Dynamic: true, KernelU: 500})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return lt
+// TestObserveRunExcludesSignificantRuns pins the exclusion rule on fully
+// sampled clips: a run at or above the single-window exclusion threshold
+// leaves the estimate alone, a background run moves it.
+func TestObserveRunExcludesSignificantRuns(t *testing.T) {
+	lt, err := NewLabelTracker(TrackerConfig{UnitsPerClip: 50, HorizonClips: 2000, P0: 1e-4, Dynamic: true, KernelU: 500})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := mk(), mk()
-	counts := []int{0, 1, 0, 2, 0, 0, 1, 49, 0, 3}
-	for _, c := range counts {
-		if _, err := a.ObserveClip(c); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.ObserveRun(50, c); err != nil {
-			t.Fatal(err)
-		}
+	before := lt.P()
+	if err := lt.ObserveRun(50, lt.kExcl); err != nil {
+		t.Fatal(err)
 	}
-	if a.P() != b.P() || a.K() != b.K() {
-		t.Errorf("full run diverged from dense: P %v/%v, K %d/%d", a.P(), b.P(), a.K(), b.K())
+	if lt.P() != before {
+		t.Errorf("significant run moved the estimate: %v -> %v", before, lt.P())
+	}
+	if err := lt.ObserveRun(50, lt.kExcl-1); err != nil {
+		t.Fatal(err)
+	}
+	if lt.P() == before {
+		t.Error("background run excluded from the estimator")
 	}
 }
 

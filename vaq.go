@@ -391,8 +391,8 @@ func IngestVideo(det ObjectDetector, rec ActionRecognizer, meta video.Meta, objL
 
 // IngestVideoCtx is IngestVideo with cancellation and tracing: when ctx
 // carries a tracer (trace.NewContext), the run records "ingest.video" /
-// "ingest.infer" / "ingest.stats" spans and the detector invocation
-// counters.
+// "ingest.infer" / "ingest.stats" spans ("ingest.plan" in place of the
+// last two when cfg.Plan is armed) and the detector invocation counters.
 func IngestVideoCtx(ctx context.Context, det ObjectDetector, rec ActionRecognizer, meta video.Meta, objLabels, actLabels []Label, cfg IngestConfig) (*VideoData, error) {
 	return ingest.VideoCtx(ctx, det, rec, meta, objLabels, actLabels, cfg)
 }
