@@ -1,18 +1,26 @@
 // Command vaqbench regenerates the tables and figures of the paper's
-// evaluation (§5). Run with no flags for the full suite at paper scale,
-// or select individual experiments:
+// evaluation (§5) and prints them as markdown. Run with no flags for
+// every experiment at paper scale, or select some:
 //
 //	vaqbench -exp fig2,table6 -scale 0.2
+//	vaqbench -exp ablation -csv out/
 //
-// Experiment ids: fig2, fig3, table3, table4, table5, fig4, fig5 (alias
-// fig45), runtime, drift, table6, table7, table8, parallel, ablation,
-// trace-overhead, explain, chaos, hedge, manysessions, plan, brownout.
+// Experiment ids: fig2, fig3, table3, table4, table5, fig45 (aliases
+// fig4, fig5), runtime, drift, table6, table7, table8, and the ablations
+// shortcircuit, kernelu, alpha and critvalue ("ablation" selects all
+// four). -csv also writes each table to <dir>/<id>.csv. Unknown ids and
+// a scale that is not a positive finite number exit with status 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,194 +28,115 @@ import (
 )
 
 func main() {
-	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiment ids (or 'all')")
-		scaleFlag = flag.Float64("scale", 1.0, "workload scale (1 = paper-sized datasets)")
-		csvFlag   = flag.String("csv", "", "directory for per-experiment CSV output (optional)")
-	)
-	flag.Parse()
-
-	ctx := experiments.NewContext(os.Stdout)
-	ctx.Scale = *scaleFlag
-	sink, err := newCSVSink(*csvFlag)
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
 	if err != nil {
+		fmt.Fprintln(os.Stderr, "vaqbench:", err)
+		os.Exit(2)
+	}
+	if err := run(cfg, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "vaqbench:", err)
 		os.Exit(1)
 	}
+}
 
+// config is a validated command line.
+type config struct {
+	exps   []experiments.Experiment // in experiments.Experiments order
+	scale  float64
+	csvDir string
+}
+
+// parseFlags parses and validates the command line; flag errors and
+// usage go to stderr.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
+	fs := flag.NewFlagSet("vaqbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma-separated experiment ids (or 'all')")
+	scale := fs.Float64("scale", 1.0, "workload scale (1 = paper-sized datasets)")
+	csvDir := fs.String("csv", "", "directory to also write each table to as <id>.csv (optional)")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	if fs.NArg() > 0 {
+		return config{}, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return config{}, fmt.Errorf("-scale %v: want a positive finite number", *scale)
+	}
+	exps, err := selectExperiments(*exp)
+	if err != nil {
+		return config{}, err
+	}
+	return config{exps: exps, scale: *scale, csvDir: *csvDir}, nil
+}
+
+// selectExperiments resolves a comma-separated id list; every id must
+// name an experiment, an alias, "ablation" or "all".
+func selectExperiments(list string) ([]experiments.Experiment, error) {
+	known := map[string]bool{"all": true}
+	for _, e := range experiments.Experiments {
+		for _, id := range e.IDs {
+			known[id] = true
+		}
+	}
 	wanted := map[string]bool{}
-	for _, id := range strings.Split(*expFlag, ",") {
-		wanted[strings.TrimSpace(strings.ToLower(id))] = true
-	}
-	all := wanted["all"]
-	want := func(ids ...string) bool {
-		if all {
-			return true
+	for _, id := range strings.Split(list, ",") {
+		id = strings.ToLower(strings.TrimSpace(id))
+		if !known[id] {
+			return nil, fmt.Errorf("-exp: unknown experiment %q", id)
 		}
-		for _, id := range ids {
-			if wanted[id] {
-				return true
-			}
-		}
-		return false
+		wanted[id] = true
 	}
+	var out []experiments.Experiment
+	for _, e := range experiments.Experiments {
+		if wanted["all"] || slices.ContainsFunc(e.IDs, func(id string) bool { return wanted[id] }) {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
 
-	type experiment struct {
-		ids []string
-		run func() error
-	}
-	exps := []experiment{
-		{[]string{"fig2"}, func() error {
-			rows, err := ctx.Fig2()
-			if err != nil {
-				return err
-			}
-			return sink.fig2(rows)
-		}},
-		{[]string{"fig3"}, func() error {
-			rows, err := ctx.Fig3()
-			if err != nil {
-				return err
-			}
-			return sink.fig3(rows)
-		}},
-		{[]string{"table3"}, func() error {
-			rows, err := ctx.Table3()
-			if err != nil {
-				return err
-			}
-			return sink.table3(rows)
-		}},
-		{[]string{"table4"}, func() error {
-			rows, err := ctx.Table4()
-			if err != nil {
-				return err
-			}
-			return sink.table4(rows)
-		}},
-		{[]string{"table5"}, func() error {
-			rows, err := ctx.Table5()
-			if err != nil {
-				return err
-			}
-			return sink.table5(rows)
-		}},
-		{[]string{"fig4", "fig5", "fig45"}, func() error {
-			rows, err := ctx.Fig4And5()
-			if err != nil {
-				return err
-			}
-			return sink.fig45(rows)
-		}},
-		{[]string{"runtime"}, func() error { _, err := ctx.OnlineRuntime(); return err }},
-		{[]string{"drift"}, func() error { _, err := ctx.Drift(); return err }},
-		{[]string{"table6"}, func() error {
-			rows, err := ctx.Table6()
-			if err != nil {
-				return err
-			}
-			return sink.table6(rows)
-		}},
-		{[]string{"table7"}, func() error {
-			rows, err := ctx.Table7()
-			if err != nil {
-				return err
-			}
-			return sink.table7(rows)
-		}},
-		{[]string{"table8"}, func() error {
-			rows, err := ctx.Table8()
-			if err != nil {
-				return err
-			}
-			return sink.table8(rows)
-		}},
-		{[]string{"parallel"}, func() error {
-			rows, err := ctx.ParallelSpeedup()
-			if err != nil {
-				return err
-			}
-			return sink.parallel(rows)
-		}},
-		{[]string{"trace-overhead", "traceoverhead"}, func() error {
-			rows, err := ctx.TraceOverhead()
-			if err != nil {
-				return err
-			}
-			return sink.traceOverhead(rows)
-		}},
-		{[]string{"explain"}, func() error {
-			rows, err := ctx.ExplainOverhead()
-			if err != nil {
-				return err
-			}
-			return sink.explainOverhead(rows)
-		}},
-		{[]string{"chaos"}, func() error {
-			res, err := ctx.Chaos()
-			if err != nil {
-				return err
-			}
-			return sink.chaos(res)
-		}},
-		{[]string{"hedge"}, func() error {
-			res, err := ctx.Hedge()
-			if err != nil {
-				return err
-			}
-			return sink.hedge(res)
-		}},
-		{[]string{"manysessions", "many-sessions"}, func() error {
-			res, err := ctx.ManySessions()
-			if err != nil {
-				return err
-			}
-			return sink.manySessions(res)
-		}},
-		{[]string{"plan"}, func() error {
-			res, err := ctx.Plan()
-			if err != nil {
-				return err
-			}
-			return sink.plan(res)
-		}},
-		{[]string{"brownout"}, func() error {
-			res, err := ctx.Brownout()
-			if err != nil {
-				return err
-			}
-			return sink.brownout(res)
-		}},
-		{[]string{"ablation"}, func() error {
-			if _, err := ctx.AblationShortCircuit(); err != nil {
-				return err
-			}
-			if _, err := ctx.AblationKernelU(); err != nil {
-				return err
-			}
-			if _, err := ctx.AblationAlpha(); err != nil {
-				return err
-			}
-			_, err := ctx.AblationCritValue()
-			return err
-		}},
-	}
-
-	ran := 0
-	for _, e := range exps {
-		if !want(e.ids...) {
-			continue
+// run executes the selected experiments, printing each table as
+// markdown to stdout and its timing to stderr.
+func run(cfg config, stdout, stderr io.Writer) error {
+	if cfg.csvDir != "" {
+		if err := os.MkdirAll(cfg.csvDir, 0o755); err != nil {
+			return fmt.Errorf("csv dir: %w", err)
 		}
-		ran++
+	}
+	ctx := experiments.NewContext()
+	ctx.Scale = cfg.scale
+	for _, e := range cfg.exps {
+		id := e.IDs[0]
 		start := time.Now()
-		if err := e.run(); err != nil {
-			fmt.Fprintf(os.Stderr, "vaqbench: %s: %v\n", e.ids[0], err)
-			os.Exit(1)
+		res, err := e.Run(ctx)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Printf("  [%s done in %v]\n\n", e.ids[0], time.Since(start).Round(time.Millisecond))
+		if err := res.Table.WriteMarkdown(stdout); err != nil {
+			return err
+		}
+		if cfg.csvDir != "" {
+			if err := writeCSV(filepath.Join(cfg.csvDir, id+".csv"), res.Table); err != nil {
+				return fmt.Errorf("%s: %w", id, err)
+			}
+		}
+		fmt.Fprintf(stderr, "vaqbench: %s done in %v\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "vaqbench: no experiment matched %q\n", *expFlag)
-		os.Exit(2)
+	return nil
+}
+
+func writeCSV(path string, t experiments.Table) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	if err := t.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -86,9 +86,8 @@ type Config struct {
 	// Max caps how far the ladder may climb (default LevelShed).
 	// A daemon that must never reject outright sets LevelPrior.
 	Max Level
-	// Now is the clock; nil means time.Now. Tests and the vaqbench
-	// load ramp inject a fake clock for byte-deterministic
-	// trajectories.
+	// Now is the clock; nil means time.Now. Tests inject a fake clock
+	// for byte-deterministic trajectories (TestTrajectoryDeterministic).
 	Now func() time.Time
 }
 

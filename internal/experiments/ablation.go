@@ -59,7 +59,7 @@ func (c *Context) AblationShortCircuit() (*ShortCircuitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ShortCircuitResult{
+	return &ShortCircuitResult{
 		Query:                 q.String(),
 		InvocationsFull:       full.Invocations(),
 		InvocationsSC:         sc.Invocations(),
@@ -67,11 +67,7 @@ func (c *Context) AblationShortCircuit() (*ShortCircuitResult, error) {
 		InvocationsAdaptive:   adaptive.Invocations(),
 		SavedFraction:         1 - float64(sc.Invocations())/float64(full.Invocations()),
 		FinalOrder:            adaptive.Order(),
-	}
-	c.printf("Ablation short-circuit (%s): full=%d, short-circuit=%d (%.0f%% saved), reversed order=%d, adaptive=%d (final order %v)\n",
-		r.Query, r.InvocationsFull, r.InvocationsSC, 100*r.SavedFraction,
-		r.InvocationsSCReversed, r.InvocationsAdaptive, r.FinalOrder)
-	return r, nil
+	}, nil
 }
 
 // AlphaResult is one point of the significance-level sensitivity sweep.
@@ -95,7 +91,6 @@ func (c *Context) AblationAlpha() ([]AlphaResult, error) {
 	}
 	q := annot.Query{Action: "blowing_leaves", Objects: []annot.Label{"car"}}
 	var out []AlphaResult
-	c.printf("Ablation significance level alpha (SVAQD, %v)\n", q)
 	for _, alpha := range Alphas {
 		run, err := c.runOnline(qs, q, c.ObjProfile, c.ActProfile,
 			svaq.Config{Dynamic: true, Alpha: alpha})
@@ -103,9 +98,7 @@ func (c *Context) AblationAlpha() ([]AlphaResult, error) {
 			return nil, err
 		}
 		prf := metrics.SequenceF1(run.Seqs, run.Truth, metrics.DefaultIOUThreshold)
-		r := AlphaResult{Alpha: alpha, Precision: prf.Precision, Recall: prf.Recall, F1: prf.F1}
-		out = append(out, r)
-		c.printf("  alpha=%.3f  P=%.3f R=%.3f F1=%.3f\n", r.Alpha, r.Precision, r.Recall, r.F1)
+		out = append(out, AlphaResult{Alpha: alpha, Precision: prf.Precision, Recall: prf.Recall, F1: prf.F1})
 	}
 	return out, nil
 }
@@ -136,16 +129,13 @@ func (c *Context) AblationKernelU() ([]KernelUResult, error) {
 	}
 	q := annot.Query{Action: "blowing_leaves", Objects: []annot.Label{"car"}}
 	var out []KernelUResult
-	c.printf("Ablation kernel scale u (SVAQD, %v)\n", q)
 	for _, u := range KernelUs {
 		run, err := c.runOnline(qs, q, c.ObjProfile, c.ActProfile,
 			svaq.Config{Dynamic: true, KernelU: u})
 		if err != nil {
 			return nil, err
 		}
-		r := KernelUResult{KernelU: u, F1: f1(run.Seqs, run.Truth)}
-		out = append(out, r)
-		c.printf("  u=%6.0f  F1=%.3f\n", r.KernelU, r.F1)
+		out = append(out, KernelUResult{KernelU: u, F1: f1(run.Seqs, run.Truth)})
 	}
 	return out, nil
 }
@@ -153,11 +143,11 @@ func (c *Context) AblationKernelU() ([]KernelUResult, error) {
 // CritValueResult compares the Naus closed-form critical value against
 // the Monte-Carlo reference.
 type CritValueResult struct {
-	P            float64
-	KClosed      int
-	KMonteCarlo  int
-	ClosedTime   time.Duration
-	MonteCarloNs time.Duration
+	P              float64
+	KClosed        int // closed form at the Monte-Carlo N
+	KMonteCarlo    int
+	ClosedTime     time.Duration // closed form at the engine's N = 100k
+	MonteCarloTime time.Duration
 }
 
 // AblationCritValue compares the closed-form critical-value computation
@@ -167,12 +157,10 @@ func (c *Context) AblationCritValue() ([]CritValueResult, error) {
 	rng := rand.New(rand.NewSource(99))
 	const w, n, alpha, trials = 50, 100000, 0.05, 4000
 	var out []CritValueResult
-	c.printf("Ablation critical value: Naus closed form vs Monte Carlo (w=%d)\n", w)
 	for _, p := range []float64{1e-4, 1e-3, 1e-2, 5e-2} {
 		pr := scanstat.Params{P: p, W: w, N: n}
 		t0 := time.Now()
-		kc, err := scanstat.CriticalValue(pr, alpha)
-		if err != nil {
+		if _, err := scanstat.CriticalValue(pr, alpha); err != nil {
 			return nil, err
 		}
 		closedTime := time.Since(t0)
@@ -196,9 +184,7 @@ func (c *Context) AblationCritValue() ([]CritValueResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CritValueResult{P: p, KClosed: kcSmall, KMonteCarlo: km, ClosedTime: closedTime, MonteCarloNs: mcTime})
-		c.printf("  p=%.0e  closed k=%d (N=100k: %d) in %v   monte-carlo k=%d in %v\n",
-			p, kcSmall, kc, closedTime, km, mcTime)
+		out = append(out, CritValueResult{P: p, KClosed: kcSmall, KMonteCarlo: km, ClosedTime: closedTime, MonteCarloTime: mcTime})
 	}
 	return out, nil
 }

@@ -2,14 +2,12 @@
 // evaluation (§5) on the synthetic workloads of package synth: the
 // online accuracy studies (Figures 2–5, Tables 3–5, the runtime
 // decomposition of §5.2) and the offline performance studies (Tables
-// 6–8). DESIGN.md §3 maps each experiment to its modules; EXPERIMENTS.md
-// records paper-reported versus measured values.
+// 6–8). Each experiment returns typed rows and renders them to one Table
+// (paper.go); DESIGN.md §3 maps each experiment to its modules and
+// EXPERIMENTS.md records paper-reported versus measured values.
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"vaq/internal/annot"
 	"vaq/internal/detect"
 	"vaq/internal/interval"
@@ -21,10 +19,8 @@ import (
 
 // Context carries the shared knobs of an experiment run.
 type Context struct {
-	// Out receives the human-readable rows; nil discards them.
-	Out io.Writer
-	// Scale shrinks the workloads (1 = the paper-sized datasets;
-	// quick test/bench modes use ~0.15).
+	// Scale shrinks the workloads (1 = the paper-sized datasets; the
+	// golden test runs at 0.3).
 	Scale float64
 	// ObjProfile / ActProfile are the default model profiles.
 	ObjProfile detect.Profile
@@ -33,21 +29,8 @@ type Context struct {
 
 // NewContext returns a full-scale context with the paper's default
 // models (Mask R-CNN + I3D).
-func NewContext(out io.Writer) *Context {
-	return &Context{Out: out, Scale: 1, ObjProfile: detect.MaskRCNN, ActProfile: detect.I3D}
-}
-
-// Quick returns a scaled-down context for tests and benches.
-func Quick(out io.Writer) *Context {
-	c := NewContext(out)
-	c.Scale = 0.15
-	return c
-}
-
-func (c *Context) printf(format string, args ...any) {
-	if c.Out != nil {
-		fmt.Fprintf(c.Out, format, args...)
-	}
+func NewContext() *Context {
+	return &Context{Scale: 1, ObjProfile: detect.MaskRCNN, ActProfile: detect.I3D}
 }
 
 // youtube loads a YouTube query set at the context's scale.

@@ -1,28 +1,101 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
 	"math"
+	"os"
+	"strings"
 	"testing"
 )
 
-// The experiment tests assert the qualitative shapes the paper reports
-// (who wins, by roughly what factor, where crossovers fall) on scaled-
-// down workloads; EXPERIMENTS.md records the full-scale values.
+// TestPaperGolden pins every paper experiment's table byte for byte at
+// goldenScale; the Test*Shape tests assert the qualitative shapes the
+// paper reports (who wins, by roughly what factor, where crossovers
+// fall) on the same rows. EXPERIMENTS.md records the full-scale values.
 
-func quickCtx() *Context {
-	c := NewContext(nil)
-	c.Scale = 0.3
-	return c
-}
+var update = flag.Bool("update", false, "rewrite "+goldenPath)
 
-func TestFig2Shape(t *testing.T) {
+const (
+	goldenScale = 0.3
+	goldenPath  = "testdata/paper_0.3.md"
+)
+
+// results memoizes each experiment's run at goldenScale, so the golden
+// and the shape tests run every experiment once per test binary.
+var results = map[string]Result{}
+
+// result returns the experiment with canonical id run at goldenScale.
+func result(t *testing.T, id string) Result {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("workload experiment")
 	}
-	res, err := quickCtx().Fig2()
+	if r, ok := results[id]; ok {
+		return r
+	}
+	for _, e := range Experiments {
+		if e.IDs[0] != id {
+			continue
+		}
+		c := NewContext()
+		c.Scale = goldenScale
+		r, err := e.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		results[id] = r
+		return r
+	}
+	t.Fatalf("no experiment %q", id)
+	return Result{}
+}
+
+// rowsOf returns the typed rows of experiment id.
+func rowsOf[R any](t *testing.T, id string) R {
+	t.Helper()
+	return result(t, id).Rows.(R)
+}
+
+// TestPaperGolden renders every experiment without its wall-clock
+// columns and compares the result with goldenPath; -update rewrites it.
+func TestPaperGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, e := range Experiments {
+		if err := result(t, e.IDs[0]).Table.WithoutWall().WriteMarkdown(&got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *update {
+		if err := os.WriteFile(goldenPath, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s differs at line %d (rerun with -update to accept):\n got: %s\nwant: %s", goldenPath, i+1, g, w)
+		}
+	}
+}
+
+func TestFig2Shape(t *testing.T) {
+	res := rowsOf[[]Fig2Result](t, "fig2")
 	if len(res) != 2*len(P0Grid) {
 		t.Fatalf("rows = %d", len(res))
 	}
@@ -51,13 +124,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	res, err := quickCtx().Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := rowsOf[[]Fig3Result](t, "fig3")
 	if len(res) != 12 {
 		t.Fatalf("rows = %d", len(res))
 	}
@@ -78,13 +145,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	res, err := quickCtx().Table4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := rowsOf[[]Table4Result](t, "table4")
 	byName := map[string]Table4Result{}
 	for _, r := range res {
 		byName[r.Models] = r
@@ -101,13 +162,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	res, err := quickCtx().Table5()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := rowsOf[[]Table5Result](t, "table5")
 	for _, r := range res {
 		if r.ActionFPRWithSVAQD > r.ActionFPRRaw {
 			t.Errorf("%s: action FPR worsened: %v -> %v", r.Query, r.ActionFPRRaw, r.ActionFPRWithSVAQD)
@@ -123,13 +178,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestFig4And5Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	res, err := quickCtx().Fig4And5()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := rowsOf[[]ClipSizeResult](t, "fig45")
 	byQuery := map[string][]ClipSizeResult{}
 	for _, r := range res {
 		byQuery[r.Query] = append(byQuery[r.Query], r)
@@ -157,13 +206,7 @@ func TestFig4And5Shape(t *testing.T) {
 }
 
 func TestOnlineRuntimeShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	r, err := quickCtx().OnlineRuntime()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := rowsOf[*RuntimeResult](t, "runtime")
 	// The paper: >98% of online runtime is model inference.
 	if r.InferenceShare < 0.98 {
 		t.Errorf("inference share %v < 0.98", r.InferenceShare)
@@ -180,26 +223,14 @@ func TestOnlineRuntimeShape(t *testing.T) {
 }
 
 func TestDriftShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	r, err := quickCtx().Drift()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := rowsOf[*DriftResult](t, "drift")
 	if r.SVAQD <= r.SVAQ {
 		t.Errorf("SVAQD (%v) should beat SVAQ (%v) under drift", r.SVAQD, r.SVAQ)
 	}
 }
 
 func TestTable6Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	rows, err := quickCtx().Table6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]Table6Row](t, "table6")
 	byMK := map[string]map[int]Table6Row{}
 	for _, r := range rows {
 		if byMK[r.Method] == nil {
@@ -229,13 +260,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestTable8Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	rows, err := quickCtx().Table8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]Table8Row](t, "table8")
 	byMovie := map[string][]Table8Row{}
 	for _, r := range rows {
 		byMovie[r.Movie] = append(byMovie[r.Movie], r)
@@ -256,13 +281,7 @@ func TestTable8Shape(t *testing.T) {
 }
 
 func TestAblationShortCircuit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	r, err := quickCtx().AblationShortCircuit()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := rowsOf[*ShortCircuitResult](t, "shortcircuit")
 	if r.InvocationsSC >= r.InvocationsFull {
 		t.Errorf("short-circuit saved nothing: %d vs %d", r.InvocationsSC, r.InvocationsFull)
 	}
@@ -272,13 +291,7 @@ func TestAblationShortCircuit(t *testing.T) {
 }
 
 func TestAblationCritValueAgreement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("monte carlo")
-	}
-	rows, err := quickCtx().AblationCritValue()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]CritValueResult](t, "critvalue")
 	for _, r := range rows {
 		if d := r.KClosed - r.KMonteCarlo; d < -1 || d > 1 {
 			t.Errorf("p=%v: closed k=%d vs monte-carlo k=%d", r.P, r.KClosed, r.KMonteCarlo)
@@ -287,13 +300,7 @@ func TestAblationCritValueAgreement(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	rows, err := quickCtx().Table7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]Table7Row](t, "table7")
 	bySetMethod := map[string]map[string]Table7Row{}
 	for _, r := range rows {
 		if bySetMethod[r.Set] == nil {
@@ -315,13 +322,7 @@ func TestTable7Shape(t *testing.T) {
 }
 
 func TestAblationAlphaShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload experiment")
-	}
-	rows, err := quickCtx().AblationAlpha()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[[]AlphaResult](t, "alpha")
 	if len(rows) != len(Alphas) {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -7,42 +7,42 @@ import (
 	"runtime"
 	"time"
 
+	"vaq/internal/annot"
 	"vaq/internal/detect"
 	"vaq/internal/ingest"
 	"vaq/internal/rvaq"
 	"vaq/internal/synth"
 )
 
-// ingestMovie generates a movie world at the context scale, runs the
-// ingestion phase over the full label universe, persists the metadata to
-// dir, and loads it back file-backed so every query-time table access is
-// a disk read (as in the paper's secondary-storage setting). A nil dir
-// keeps the tables in memory.
-func (c *Context) ingestMovie(name, dir string) (*ingest.VideoData, *synth.QuerySet, error) {
-	qs, err := synth.MovieScaled(name, c.Scale)
-	if err != nil {
-		return nil, nil, err
-	}
+// ingestFileBacked runs the ingestion phase over the world's full label
+// universe, persists the metadata under dir/name, and loads it back
+// file-backed so every query-time table access is a disk read (as in the
+// paper's secondary-storage setting).
+func (c *Context) ingestFileBacked(qs *synth.QuerySet, dir, name string) (*ingest.VideoData, error) {
 	scene := qs.World.Scene()
 	det := detect.NewSimObjectDetector(scene, c.ObjProfile, nil)
 	rec := detect.NewSimActionRecognizer(scene, c.ActProfile, nil)
 	truth := qs.World.Truth
 	vd, err := ingest.Video(det, rec, truth.Meta, truth.ObjectLabels(), truth.ActionLabels(), ingest.Config{Workers: runtime.NumCPU()})
 	if err != nil {
-		return nil, nil, err
-	}
-	if dir == "" {
-		return vd, qs, nil
+		return nil, err
 	}
 	vdir := filepath.Join(dir, name)
 	if err := vd.Save(vdir); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	loaded, err := ingest.Load(vdir)
-	if err != nil {
-		return nil, nil, err
-	}
-	return loaded, qs, nil
+	return ingest.Load(vdir)
+}
+
+// offlineMethods are the four top-k methods Tables 6 and 7 compare.
+var offlineMethods = []struct {
+	name string
+	run  func(*ingest.VideoData, annot.Query, int, rvaq.Options) ([]rvaq.SeqResult, rvaq.Stats, error)
+}{
+	{"FA", rvaq.FA},
+	{"RVAQ-noSkip", rvaq.NoSkip},
+	{"Pq-Traverse", rvaq.PqTraverse},
+	{"RVAQ", rvaq.TopK},
 }
 
 // Table6Row is one (method, K) cell pair of Table 6.
@@ -66,42 +66,18 @@ func (c *Context) Table6() ([]Table6Row, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	vd, qs, err := c.ingestMovie("coffee_and_cigarettes", dir)
+	qs, err := synth.MovieScaled("coffee_and_cigarettes", c.Scale)
 	if err != nil {
 		return nil, err
 	}
-	pq, err := vd.CandidateSequences(qs.Query)
+	vd, err := c.ingestFileBacked(qs, dir, "coffee_and_cigarettes")
 	if err != nil {
 		return nil, err
-	}
-	c.printf("Table 6: Coffee and Cigarettes (%d candidate sequences)\n", len(pq))
-	type method struct {
-		name string
-		run  func(k int) (rvaq.Stats, error)
-	}
-	methods := []method{
-		{"FA", func(k int) (rvaq.Stats, error) {
-			_, s, err := rvaq.FA(vd, qs.Query, k, rvaq.DefaultOptions())
-			return s, err
-		}},
-		{"RVAQ-noSkip", func(k int) (rvaq.Stats, error) {
-			_, s, err := rvaq.NoSkip(vd, qs.Query, k, rvaq.DefaultOptions())
-			return s, err
-		}},
-		{"Pq-Traverse", func(k int) (rvaq.Stats, error) {
-			_, s, err := rvaq.PqTraverse(vd, qs.Query, k, rvaq.DefaultOptions())
-			return s, err
-		}},
-		{"RVAQ", func(k int) (rvaq.Stats, error) {
-			_, s, err := rvaq.TopK(vd, qs.Query, k, rvaq.DefaultOptions())
-			return s, err
-		}},
 	}
 	var out []Table6Row
-	for _, m := range methods {
-		c.printf("  %-12s", m.name)
+	for _, m := range offlineMethods {
 		for _, k := range Table6Ks {
-			stats, err := m.run(k)
+			_, stats, err := m.run(vd, qs.Query, k, rvaq.DefaultOptions())
 			if err != nil {
 				return nil, fmt.Errorf("%s K=%d: %w", m.name, k, err)
 			}
@@ -111,9 +87,7 @@ func (c *Context) Table6() ([]Table6Row, error) {
 				RandomAccesses: stats.Accesses.Random,
 				SortedAccesses: stats.Accesses.Sorted + stats.Accesses.Reverse,
 			})
-			c.printf("  K=%-2d %8v;%6d", k, stats.Runtime.Round(time.Microsecond), stats.Accesses.Random)
 		}
-		c.printf("\n")
 	}
 	return out, nil
 }
@@ -136,59 +110,22 @@ func (c *Context) Table7() ([]Table7Row, error) {
 	defer os.RemoveAll(dir)
 	const k = 5
 	var out []Table7Row
-	c.printf("Table 7: YouTube q1, q2 at K=%d\n", k)
 	for _, id := range []string{"q1", "q2"} {
 		qs, err := c.youtube(id)
 		if err != nil {
 			return nil, err
 		}
-		scene := qs.World.Scene()
-		det := detect.NewSimObjectDetector(scene, c.ObjProfile, nil)
-		rec := detect.NewSimActionRecognizer(scene, c.ActProfile, nil)
-		truth := qs.World.Truth
-		vd, err := ingest.Video(det, rec, truth.Meta, truth.ObjectLabels(), truth.ActionLabels(), ingest.Config{Workers: runtime.NumCPU()})
+		vd, err := c.ingestFileBacked(qs, dir, id)
 		if err != nil {
 			return nil, err
 		}
-		vdir := filepath.Join(dir, id)
-		if err := vd.Save(vdir); err != nil {
-			return nil, err
-		}
-		loaded, err := ingest.Load(vdir)
-		if err != nil {
-			return nil, err
-		}
-		runs := []struct {
-			name string
-			f    func() (rvaq.Stats, error)
-		}{
-			{"FA", func() (rvaq.Stats, error) {
-				_, s, err := rvaq.FA(loaded, qs.Query, k, rvaq.DefaultOptions())
-				return s, err
-			}},
-			{"RVAQ-noSkip", func() (rvaq.Stats, error) {
-				_, s, err := rvaq.NoSkip(loaded, qs.Query, k, rvaq.DefaultOptions())
-				return s, err
-			}},
-			{"Pq-Traverse", func() (rvaq.Stats, error) {
-				_, s, err := rvaq.PqTraverse(loaded, qs.Query, k, rvaq.DefaultOptions())
-				return s, err
-			}},
-			{"RVAQ", func() (rvaq.Stats, error) {
-				_, s, err := rvaq.TopK(loaded, qs.Query, k, rvaq.DefaultOptions())
-				return s, err
-			}},
-		}
-		c.printf("  %s:", id)
-		for _, r := range runs {
-			stats, err := r.f()
+		for _, m := range offlineMethods {
+			_, stats, err := m.run(vd, qs.Query, k, rvaq.DefaultOptions())
 			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", r.name, id, err)
+				return nil, fmt.Errorf("%s on %s: %w", m.name, id, err)
 			}
-			out = append(out, Table7Row{Set: id, Method: r.name, Runtime: stats.Runtime, RandomAccesses: stats.Accesses.Random})
-			c.printf("  %s %v;%d", r.name, stats.Runtime.Round(time.Microsecond), stats.Accesses.Random)
+			out = append(out, Table7Row{Set: id, Method: m.name, Runtime: stats.Runtime, RandomAccesses: stats.Accesses.Random})
 		}
-		c.printf("\n")
 	}
 	return out, nil
 }
@@ -202,8 +139,8 @@ type Table8Row struct {
 	Speedup float64
 }
 
-// Table8Ks is the K sweep of Table 8 (the final entry is the movie's
-// max K, the number of candidate sequences).
+// Table8Ks is the K sweep of Table 8. Each movie runs the Ks below its
+// max K (the number of candidate sequences), then max K itself.
 var Table8Ks = []int{1, 3, 5, 7, 9, 11}
 
 // Table8 reproduces Table 8: RVAQ's speedup over Pq-Traverse on the
@@ -217,9 +154,12 @@ func (c *Context) Table8() ([]Table8Row, error) {
 	}
 	defer os.RemoveAll(dir)
 	var out []Table8Row
-	c.printf("Table 8: speedup of RVAQ vs Pq-Traverse (random accesses)\n")
 	for _, name := range []string{"iron_man", "star_wars_3", "titanic"} {
-		vd, qs, err := c.ingestMovie(name, dir)
+		qs, err := synth.MovieScaled(name, c.Scale)
+		if err != nil {
+			return nil, err
+		}
+		vd, err := c.ingestFileBacked(qs, dir, name)
 		if err != nil {
 			return nil, err
 		}
@@ -235,32 +175,21 @@ func (c *Context) Table8() ([]Table8Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		ks := append(append([]int{}, Table8Ks...), maxK)
-		c.printf("  %-12s", name)
-		for i, k := range ks {
-			if k > maxK {
-				k = maxK
+		var ks []int
+		for _, k := range Table8Ks {
+			if k < maxK {
+				ks = append(ks, k)
 			}
+		}
+		ks = append(ks, maxK)
+		for i, k := range ks {
 			_, stats, err := rvaq.TopK(vd, qs.Query, k, rvaq.DefaultOptions())
 			if err != nil {
 				return nil, err
 			}
-			speedup := float64(base.Accesses.Random) / float64(max64(stats.Accesses.Random, 1))
+			speedup := float64(base.Accesses.Random) / float64(max(stats.Accesses.Random, 1))
 			out = append(out, Table8Row{Movie: name, K: k, MaxK: i == len(ks)-1, Speedup: speedup})
-			label := fmt.Sprintf("K=%d", k)
-			if i == len(ks)-1 {
-				label = "maxK"
-			}
-			c.printf("  %s %.2fx", label, speedup)
 		}
-		c.printf("\n")
 	}
 	return out, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -34,13 +34,11 @@ func (c *Context) Fig2() ([]Fig2Result, error) {
 		{"q1", annot.Query{Action: "washing_dishes", Objects: []annot.Label{"faucet"}}},
 	}
 	var out []Fig2Result
-	c.printf("Figure 2: F1 vs initial background probability p0\n")
 	for _, cs := range cases {
 		qs, err := c.youtube(cs.set)
 		if err != nil {
 			return nil, err
 		}
-		c.printf("  query %v\n", cs.q)
 		for _, p0 := range P0Grid {
 			static, err := c.runOnline(qs, cs.q, c.ObjProfile, c.ActProfile,
 				svaq.Config{P0Object: p0, P0Action: p0})
@@ -52,13 +50,11 @@ func (c *Context) Fig2() ([]Fig2Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			r := Fig2Result{
+			out = append(out, Fig2Result{
 				Query: cs.q.String(), P0: p0,
 				SVAQ:  f1(static.Seqs, static.Truth),
 				SVAQD: f1(dyn.Seqs, dyn.Truth),
-			}
-			out = append(out, r)
-			c.printf("    p0=%.0e  SVAQ=%.3f  SVAQD=%.3f\n", r.P0, r.SVAQ, r.SVAQD)
+			})
 		}
 	}
 	return out, nil
@@ -76,7 +72,6 @@ type Fig3Result struct {
 // all twelve YouTube queries of Table 1.
 func (c *Context) Fig3() ([]Fig3Result, error) {
 	var out []Fig3Result
-	c.printf("Figure 3: F1 of SVAQ (p0=1e-4) and SVAQD on q1..q12\n")
 	for _, id := range synth.YouTubeIDs() {
 		qs, err := c.youtube(id)
 		if err != nil {
@@ -92,13 +87,11 @@ func (c *Context) Fig3() ([]Fig3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := Fig3Result{
+		out = append(out, Fig3Result{
 			Set: id, Query: qs.Query.String(),
 			SVAQ:  f1(static.Seqs, static.Truth),
 			SVAQD: f1(dyn.Seqs, dyn.Truth),
-		}
-		out = append(out, r)
-		c.printf("  %-4s %-50s SVAQ=%.3f SVAQD=%.3f\n", r.Set, r.Query, r.SVAQ, r.SVAQD)
+		})
 	}
 	return out, nil
 }
@@ -132,7 +125,6 @@ func (c *Context) Table3() ([]Table3Result, error) {
 	}
 	sets := map[string]*synth.QuerySet{}
 	var out []Table3Result
-	c.printf("Table 3: F1 with varying object predicates\n")
 	for _, v := range variants {
 		qs, ok := sets[v.set]
 		if !ok {
@@ -152,13 +144,11 @@ func (c *Context) Table3() ([]Table3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := Table3Result{
+		out = append(out, Table3Result{
 			Query: v.q.String(),
 			SVAQ:  f1(static.Seqs, static.Truth),
 			SVAQD: f1(dyn.Seqs, dyn.Truth),
-		}
-		out = append(out, r)
-		c.printf("  %-70s SVAQ=%.2f SVAQD=%.2f\n", r.Query, r.SVAQ, r.SVAQD)
+		})
 	}
 	return out, nil
 }
@@ -188,7 +178,6 @@ func (c *Context) Table4() ([]Table4Result, error) {
 		{"Ideal Models", detect.IdealObject, detect.IdealAction},
 	}
 	var out []Table4Result
-	c.printf("Table 4: F1 by detection model for %v\n", q)
 	for _, combo := range combos {
 		static, err := c.runOnline(qs, q, combo.obj, combo.act,
 			svaq.Config{P0Object: FixedP0, P0Action: FixedP0})
@@ -199,13 +188,11 @@ func (c *Context) Table4() ([]Table4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := Table4Result{
+		out = append(out, Table4Result{
 			Models: combo.name,
 			SVAQ:   f1(static.Seqs, static.Truth),
 			SVAQD:  f1(dyn.Seqs, dyn.Truth),
-		}
-		out = append(out, r)
-		c.printf("  %-14s SVAQ=%.2f SVAQD=%.2f\n", r.Models, r.SVAQ, r.SVAQD)
+		})
 	}
 	return out, nil
 }
@@ -237,7 +224,6 @@ func (c *Context) Table5() ([]Table5Result, error) {
 		{"q1", annot.Query{Action: "washing_dishes", Objects: []annot.Label{"faucet"}}},
 	}
 	var out []Table5Result
-	c.printf("Table 5: detector FPR without vs with SVAQD\n")
 	for _, cs := range cases {
 		qs, err := c.youtube(cs.set)
 		if err != nil {
@@ -274,9 +260,6 @@ func (c *Context) Table5() ([]Table5Result, error) {
 		r.ActionFPRWithSVAQD = r.ActionFPRRaw * actRetained
 		r.ObjectFPRWithSVAQD = r.ObjectFPRRaw * objRetained
 		out = append(out, r)
-		c.printf("  %-50s action FPR %.3f -> %.3f   object FPR %.3f -> %.3f   noise eliminated act %.0f%% obj %.0f%%\n",
-			r.Query, r.ActionFPRRaw, r.ActionFPRWithSVAQD, r.ObjectFPRRaw, r.ObjectFPRWithSVAQD,
-			100*r.ActionNoiseEliminated, 100*r.ObjectNoiseEliminated)
 	}
 	return out, nil
 }
@@ -315,7 +298,6 @@ func (c *Context) Fig4And5() ([]ClipSizeResult, error) {
 		{"q1", annot.Query{Action: "washing_dishes", Objects: []annot.Label{"faucet"}}},
 	}
 	var out []ClipSizeResult
-	c.printf("Figures 4-5: clip size sweep\n")
 	for _, cs := range cases {
 		for _, clipFrames := range ClipSizes {
 			geom := video.Geometry{FPS: 30, ShotLen: 10, ShotsPerClip: clipFrames / 10}
@@ -337,16 +319,13 @@ func (c *Context) Fig4And5() ([]ClipSizeResult, error) {
 			}
 			predFrames := scaleSeqs(run.Seqs, geom.ClipLen())
 			uf := metrics.UnitF1(predFrames, truthFrames, qs.World.Truth.Meta.Frames)
-			r := ClipSizeResult{
+			out = append(out, ClipSizeResult{
 				Query:       cs.q.String(),
 				ClipFrames:  geom.ClipLen(),
 				Sequences:   len(run.Seqs),
 				FrameF1:     uf.F1,
 				FramesFound: predFrames.Len(),
-			}
-			out = append(out, r)
-			c.printf("  %-50s clip=%3d frames: %3d sequences, frame-F1=%.3f (%d frames)\n",
-				r.Query, r.ClipFrames, r.Sequences, r.FrameF1, r.FramesFound)
+			})
 		}
 	}
 	return out, nil
@@ -425,11 +404,6 @@ func (c *Context) OnlineRuntime() (*RuntimeResult, error) {
 	r.ClipP50 = time.Duration(sk.Query(0.5)) * time.Microsecond
 	r.ClipP90 = time.Duration(sk.Query(0.9)) * time.Microsecond
 	r.ClipP99 = time.Duration(sk.Query(0.99)) * time.Microsecond
-	c.printf("Online runtime (%s): total %v = inference %v (%.1f%%) + algorithm %v over %d invocations\n",
-		r.Query, r.TotalRuntime.Round(time.Second), r.InferenceTime.Round(time.Second),
-		100*r.InferenceShare, r.AlgorithmTime.Round(time.Millisecond), r.ModelInvocations)
-	c.printf("  per-clip algorithm latency: p50 %v, p90 %v, p99 %v\n", r.ClipP50, r.ClipP90, r.ClipP99)
-	c.printf("  end-to-end per-query model baseline (cost model): %v training alone\n", r.EndToEndTrainingEst)
 	return r, nil
 }
 
@@ -459,11 +433,9 @@ func (c *Context) Drift() (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &DriftResult{
+	return &DriftResult{
 		Query: q.String(),
 		SVAQ:  f1(static.Seqs, static.Truth),
 		SVAQD: f1(dyn.Seqs, dyn.Truth),
-	}
-	c.printf("Concept drift (noise x6 at midstream): SVAQ=%.3f SVAQD=%.3f\n", r.SVAQ, r.SVAQD)
-	return r, nil
+	}, nil
 }

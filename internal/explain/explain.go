@@ -14,9 +14,9 @@
 // The discipline mirrors package trace: a nil *Collector is a valid,
 // disabled collector — every method no-ops — so instrumented engine
 // code guards nothing and the disabled path pays only nil checks
-// (`vaqbench -exp explain` measures the on/off ratio). Profiles are
-// exact, not sampled: the engine-issued layers reconcile to the unit
-// with the engines' own accounting —
+// (the benchmark's `explain.topk_overhead_ratio` measures the on/off
+// ratio). Profiles are exact, not sampled: the engine-issued layers
+// reconcile to the unit with the engines' own accounting —
 //
 //	dense_eval + plan_probe + densify == svaq Engine.Invocations()
 //

@@ -117,7 +117,7 @@ func (s Schedule) String() string {
 //	error:0-999:0.1,latency:500-:0.2:20ms,stall:100-120:1:5s
 //
 // An empty hi ("500-") means open-ended. The CLIs (vaqd -fault,
-// vaqingest -fault, vaqbench chaos) accept this syntax.
+// vaqingest -fault) accept this syntax.
 func Parse(seed int64, spec string) (Schedule, error) {
 	sched := Schedule{Seed: seed}
 	spec = strings.TrimSpace(spec)

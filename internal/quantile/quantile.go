@@ -8,8 +8,9 @@
 // the relative error rather than linear in the stream.
 //
 // The server's /metricsz endpoint feeds one sketch per route with
-// request latencies and reads p50/p90/p99 back out; cmd/vaqbench uses
-// the same sketch for per-clip latency tails. A Sketch is not safe for
+// request latencies and reads p50/p90/p99 back out; the §5.2 runtime
+// experiment (internal/experiments) uses the same sketch for per-clip
+// latency tails. A Sketch is not safe for
 // concurrent use — callers serialize access (see server.metrics).
 package quantile
 

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"vaq/internal/detect"
+	"vaq/internal/metrics"
 	"vaq/internal/plan"
+	"vaq/internal/synth"
+	"vaq/internal/video"
 )
 
 // TestPlanRateOneByteIdentical is the planner's metamorphic check at
@@ -50,6 +53,52 @@ func TestPlanRateOneByteIdentical(t *testing.T) {
 	}
 	if calls8a >= denseCalls {
 		t.Errorf("rate-8 invocations %d not below dense %d", calls8a, denseCalls)
+	}
+}
+
+// TestPlanHalvesInvocationsAtDenseF1 is the planner's headline claim on
+// the q2 workload: some base rate cuts backend invocations at least 2x
+// at a sequence F1 within 0.01 of the dense engine's.
+func TestPlanHalvesInvocationsAtDenseF1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("workload run")
+	}
+	qs, err := synth.YouTubeScaled("q2", video.DefaultGeometry(), 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scene, meta := qs.World.Scene(), qs.World.Truth.Meta
+	truth, err := qs.World.Truth.GroundTruthClips(qs.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(rate int) (f1 float64, calls int64) {
+		var meter detect.CostMeter
+		det := detect.NewSimObjectDetector(scene, detect.MaskRCNN, &meter)
+		rec := detect.NewSimActionRecognizer(scene, detect.I3D, &meter)
+		e, err := New(qs.Query, det, rec, meta.Geom, Config{
+			Dynamic: true, HorizonClips: meta.Clips(), Plan: plan.Config{Rate: rate},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs, err := e.Run(meta.Clips())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return metrics.SequenceF1(seqs, truth, metrics.DefaultIOUThreshold).F1, meter.Calls()
+	}
+
+	denseF1, denseCalls := run(0)
+	best := 0.0
+	for _, rate := range []int{2, 4, 8} {
+		f1, calls := run(rate)
+		if f1 >= denseF1-0.01 {
+			best = max(best, float64(denseCalls)/float64(calls))
+		}
+	}
+	if best < 2 {
+		t.Errorf("best invocation reduction within 0.01 F1 of dense (%.3f) = %.2fx, want >= 2x", denseF1, best)
 	}
 }
 

@@ -1,7 +1,9 @@
 package vaq
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"vaq/internal/detect"
@@ -227,5 +229,73 @@ func TestTopKGlobalMatchesPerVideoMerge(t *testing.T) {
 		if diff := g.Score - p.Score; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("rank %d: scores differ: %v vs %v", i, g.Score, p.Score)
 		}
+	}
+}
+
+// TestSharedInferenceConcurrentSessions runs eight identical sessions
+// concurrently, once with a private detector stack each and once through
+// one SharedInference domain: every session must report the same
+// sequences on both legs, and the shared leg must cut backend
+// invocations at least 5x (with the video's working set cached, each
+// distinct unit is invoked about once, so the expected cut is ~8x).
+func TestSharedInferenceConcurrentSessions(t *testing.T) {
+	const sessions = 8
+	qs, err := synth.YouTubeScaled("q2", DefaultGeometry(), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scene, meta := qs.World.Scene(), qs.World.Truth.Meta
+	cfg := StreamConfig{Dynamic: true, HorizonClips: meta.Clips()}
+	runLeg := func(mk func() (ObjectDetector, ActionRecognizer, []StreamOption)) []Sequences {
+		seqs := make([]Sequences, sessions)
+		errs := make([]error, sessions)
+		var wg sync.WaitGroup
+		for i := range sessions {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				det, rec, opts := mk()
+				s, err := NewStreamQuery(qs.Query, det, rec, meta.Geom, cfg, opts...)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				seqs[i], errs[i] = s.Run(meta.Clips())
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		return seqs
+	}
+
+	var baseMeter detect.CostMeter
+	base := runLeg(func() (ObjectDetector, ActionRecognizer, []StreamOption) {
+		return detect.NewSimObjectDetector(scene, detect.MaskRCNN, &baseMeter),
+			detect.NewSimActionRecognizer(scene, detect.I3D, &baseMeter), nil
+	})
+	si, err := NewSharedInference(SharedInferenceConfig{CacheCapacity: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sharedMeter detect.CostMeter
+	det := detect.NewSimObjectDetector(scene, detect.MaskRCNN, &sharedMeter)
+	rec := detect.NewSimActionRecognizer(scene, detect.I3D, &sharedMeter)
+	shared := runLeg(func() (ObjectDetector, ActionRecognizer, []StreamOption) {
+		return det, rec, []StreamOption{WithSharedInference(si)}
+	})
+
+	for i := range sessions {
+		if !base[i].Equal(base[0]) || !shared[i].Equal(base[0]) {
+			t.Fatalf("session %d diverged: base %v, shared %v, want %v", i, base[i], shared[i], base[0])
+		}
+	}
+	if sharedMeter.Calls() == 0 || baseMeter.Calls() < 5*sharedMeter.Calls() {
+		t.Errorf("backend invocations: %d with per-session stacks, %d shared; want a >= 5x cut",
+			baseMeter.Calls(), sharedMeter.Calls())
+	}
+	if si.Stats().CacheHits == 0 {
+		t.Error("no cache hits across identical sessions")
 	}
 }
