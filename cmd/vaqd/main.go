@@ -55,7 +55,6 @@ func main() {
 		spansFlag    = flag.Int("trace-spans", trace.DefaultCapacity, "span retention of the /tracez ring buffer")
 		slowFlag     = flag.Duration("slow-query", 0, "log root spans slower than this to stderr as one-line JSON (0 = off)")
 		pprofFlag    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		shedFlag     = flag.Duration("shed-wait", 0, "shed create/top-k requests (503 + Retry-After) when the p90 worker-queue wait reaches this (0 = off)")
 		brownFlag    = flag.Duration("brownout", 0, "arm the brownout ladder: step the degradation level up when the p90 worker-queue wait reaches this (0 = off)")
 		brownLoFlag  = flag.Duration("brownout-low", 0, "step the brownout level back down when the p90 wait falls to this (0 = half of -brownout)")
 		brownDwFlag  = flag.Duration("brownout-dwell", 0, "minimum time between brownout level changes (0 = default 2s)")
@@ -118,7 +117,6 @@ func main() {
 		MaxWait:         *waitFlag,
 		Tracer:          trace.New(topts...),
 		Resilience:      &pol,
-		ShedWait:        *shedFlag,
 		HedgeQuantile:   *hedgeFlag,
 		LabelBreaker:    *lblBrkFlag,
 		AdaptiveRetries: *adaptFlag,

@@ -51,8 +51,7 @@ func main() {
 		traceFlag    = flag.Bool("trace", false, "record spans across ingestion and the query; print the tree, counters and stage quantiles at exit")
 		deadlineFlag = flag.Duration("deadline", 0, "bound the whole query (0 = none)")
 		partialFlag  = flag.Bool("partial", false, "on deadline expiry return the best-so-far ranking flagged incomplete instead of failing")
-		discountFlag = flag.Float64("discount", 0, "down-weight clips the repository marked degraded at ingest by this factor in (0, 1] and flag matching results (0 = off)")
-		hopDiscFlag  = flag.String("hop-discounts", "", "comma-separated per-hop discount factors in [0, 1]: entry h discounts clips whose worst degraded unit came from fallback hop h (mutually exclusive with -discount)")
+		hopDiscFlag  = flag.String("hop-discounts", "", "comma-separated per-hop discount factors in [0, 1]: entry h down-weights clips whose worst degraded unit came from fallback hop h and flags matching results; one entry is a flat discount (empty = off)")
 		batchWFlag   = flag.Duration("batch-window", 0, "micro-batch same-label detector calls during -synth ingestion (0 = off)")
 		batchNFlag   = flag.Int("batch-max", infer.DefaultBatchMax, "max units per micro-batched detector call")
 		planRFlag    = flag.Int("plan-rate", 0, "coarse-to-fine sampling during -synth ingestion: base rate 1-in-N (0 = dense, 1 = dense through the planner)")
@@ -60,14 +59,8 @@ func main() {
 		expFlag      = flag.Bool("explain", false, "collect a per-query EXPLAIN profile; print the attribution tree after the results (embedded in the document with -json)")
 	)
 	flag.Parse()
-	if *discountFlag < 0 || *discountFlag > 1 {
-		fatal(fmt.Errorf("-discount must be in [0, 1], got %v", *discountFlag))
-	}
 	var hopDiscounts []float64
 	if *hopDiscFlag != "" {
-		if *discountFlag > 0 {
-			fatal(fmt.Errorf("-discount and -hop-discounts are mutually exclusive"))
-		}
 		for _, s := range strings.Split(*hopDiscFlag, ",") {
 			d, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
@@ -110,7 +103,7 @@ func main() {
 			tr.WriteVarz(out)
 		}()
 	}
-	eo := vaq.ExecOptions{Workers: *workersFlag, Ctx: ctx, Deadline: *deadlineFlag, Partial: *partialFlag, DegradedDiscount: *discountFlag, HopDiscounts: hopDiscounts}
+	eo := vaq.ExecOptions{Workers: *workersFlag, Ctx: ctx, Deadline: *deadlineFlag, Partial: *partialFlag, HopDiscounts: hopDiscounts}
 
 	q := vaq.Query{Action: vaq.Label(*actionFlag)}
 	for _, o := range strings.Split(*objectsFlag, ",") {

@@ -92,7 +92,7 @@ func TestDegradedIngestPersistsAndDiscounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, onStats, err := repo.TopKOpts("q2", q, k, ExecOptions{DegradedDiscount: 0.5})
+	on, onStats, err := repo.TopKOpts("q2", q, k, ExecOptions{HopDiscounts: []float64{0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,7 @@ func TestDegradedIngestPersistsAndDiscounts(t *testing.T) {
 
 // TestHopDiscountsEndToEnd drives the per-hop discount table down the
 // same vaqingest → vaqtopk path: the persisted hops are visible to
-// offline top-k, degraded sequences are down-weighted and flagged, and
-// mixing the flat and per-hop forms is rejected.
+// offline top-k, and degraded sequences are down-weighted and flagged.
 func TestHopDiscountsEndToEnd(t *testing.T) {
 	repo, q := degradedRepo(t)
 	const k = 8
@@ -170,26 +169,18 @@ func TestHopDiscountsEndToEnd(t *testing.T) {
 	if flagged == 0 {
 		t.Error("hop table on: no ranked sequence flagged degraded")
 	}
-
-	if _, _, err := repo.TopKOpts("q2", q, 3,
-		ExecOptions{DegradedDiscount: 0.5, HopDiscounts: []float64{0.3}}); err == nil {
-		t.Error("mixing DegradedDiscount and HopDiscounts accepted, want error")
-	}
-	if _, _, err := repo.TopKOpts("q2", q, 3, ExecOptions{HopDiscounts: []float64{1.2}}); err == nil {
-		t.Error("hop discount entry above 1 accepted, want error")
-	}
 }
 
-// TestDegradedDiscountValidation pins the option's domain: a discount
-// outside (0, 1] is an error, 0 is off.
+// TestDegradedDiscountValidation pins the option's domain: a table with
+// an entry outside [0, 1] is an error, an empty table is off.
 func TestDegradedDiscountValidation(t *testing.T) {
 	repo, q := degradedRepo(t)
-	for _, bad := range []float64{-0.1, 1.01} {
-		if _, _, err := repo.TopKOpts("q2", q, 3, ExecOptions{DegradedDiscount: bad}); err == nil {
-			t.Errorf("discount %v accepted, want error", bad)
+	for _, bad := range [][]float64{{-0.1}, {1.01}, {0.3, 1.2}} {
+		if _, _, err := repo.TopKOpts("q2", q, 3, ExecOptions{HopDiscounts: bad}); err == nil {
+			t.Errorf("hop discounts %v accepted, want error", bad)
 		}
 	}
 	if _, _, err := repo.TopKOpts("q2", q, 3, ExecOptions{}); err != nil {
-		t.Errorf("discount 0 (off) rejected: %v", err)
+		t.Errorf("empty table (off) rejected: %v", err)
 	}
 }

@@ -51,16 +51,6 @@ func (a *Video) AddAction(act Label, shots interval.Set) {
 	a.Actions[act] = a.Actions[act].Union(shots).Clamp(0, a.Meta.Shots()-1)
 }
 
-// ObjectOnFrame reports whether object o is present on frame v.
-func (a *Video) ObjectOnFrame(o Label, v video.FrameIdx) bool {
-	return a.Objects[o].Contains(int(v))
-}
-
-// ActionOnShot reports whether action act takes place on shot s.
-func (a *Video) ActionOnShot(act Label, s video.ShotIdx) bool {
-	return a.Actions[act].Contains(int(s))
-}
-
 // ObjectLabels returns the annotated object labels in sorted order.
 func (a *Video) ObjectLabels() []Label { return sortedLabels(a.Objects) }
 

@@ -42,13 +42,13 @@ func TestPresenceQueries(t *testing.T) {
 	a := NewVideo(testMeta())
 	a.AddObject("car", interval.Set{{Lo: 100, Hi: 199}})
 	a.AddAction("run", interval.Set{{Lo: 10, Hi: 19}})
-	if !a.ObjectOnFrame("car", 150) || a.ObjectOnFrame("car", 99) {
-		t.Error("ObjectOnFrame wrong")
+	if !a.Objects["car"].Contains(150) || a.Objects["car"].Contains(99) {
+		t.Error("object presence wrong")
 	}
-	if !a.ActionOnShot("run", 15) || a.ActionOnShot("run", 9) {
-		t.Error("ActionOnShot wrong")
+	if !a.Actions["run"].Contains(15) || a.Actions["run"].Contains(9) {
+		t.Error("action presence wrong")
 	}
-	if a.ObjectOnFrame("bike", 150) {
+	if a.Objects["bike"].Contains(150) {
 		t.Error("unknown label should be absent")
 	}
 }

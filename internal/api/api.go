@@ -131,15 +131,12 @@ type TopKRequest struct {
 	// coordinator it additionally tolerates failed shards: survivors'
 	// merged results come back flagged Incomplete instead of a 502.
 	Partial bool `json:"partial,omitempty"`
-	// DegradedDiscount, in (0, 1], down-weights clips the repository
-	// marked degraded at ingest time and flags matching results; 0
-	// scores them as ingested.
-	DegradedDiscount float64 `json:"degraded_discount,omitempty"`
-	// HopDiscounts is the per-hop generalization of DegradedDiscount:
-	// entry h−1 (in [0, 1]) discounts clips whose worst degraded unit
-	// was served by fallback hop h; hops past the table clamp to the
-	// last entry, units with no recorded hop take the worst entry.
-	// Mutually exclusive with DegradedDiscount.
+	// HopDiscounts down-weights clips the repository marked degraded at
+	// ingest time and flags matching results: entry h−1 (in [0, 1])
+	// discounts clips whose worst degraded unit was served by fallback
+	// hop h; hops past the table clamp to the last entry, units with no
+	// recorded hop take the worst entry, so [d] is a flat discount.
+	// Empty scores them as ingested.
 	HopDiscounts []float64 `json:"hop_discounts,omitempty"`
 	// Explain asks for the query's EXPLAIN profile inline in the
 	// response (the profile also lands in the /explainz ring whenever
@@ -161,7 +158,7 @@ type TopKEntry struct {
 	Score float64 `json:"score"`
 	// Degraded marks a sequence touching at least one clip whose
 	// ingest-time model outputs came from the resilience fallback
-	// chain (set only when the request armed degraded_discount).
+	// chain (set only when the request armed hop_discounts).
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -185,7 +182,7 @@ type TopKResponse struct {
 	// the merged ranking covers only the surviving shards.
 	Incomplete bool `json:"incomplete,omitempty"`
 	// DegradedClips counts degraded clips inside the query's candidate
-	// sequences (populated when degraded_discount was armed).
+	// sequences (populated when hop_discounts was armed).
 	DegradedClips int `json:"degraded_clips,omitempty"`
 	// Explain is the query's EXPLAIN profile, present when the request
 	// set explain=true.
@@ -301,8 +298,8 @@ type HealthzResponse struct {
 	// window's recent samples (0 until enough samples accrue).
 	QueueWaitP90MS float64 `json:"queue_wait_p90_ms"`
 	ShedRequests   int64   `json:"shed_requests,omitempty"`
-	// Overloaded mirrors the admission controller's verdict (requires
-	// -shed-wait to be armed).
+	// Overloaded is set while the brownout ladder sits at its shed
+	// level (requires -brownout to be armed).
 	Overloaded bool `json:"overloaded,omitempty"`
 	// BrownoutLevel is the degradation ladder's active level (empty
 	// when -brownout is unarmed).

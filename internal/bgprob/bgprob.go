@@ -112,12 +112,6 @@ func (e *Estimator) P() float64 {
 // Units returns the number of occurrence units observed so far.
 func (e *Estimator) Units() int { return e.t }
 
-// Reset discards all observations, keeping the kernel scale and prior.
-func (e *Estimator) Reset() {
-	e.mass = 0
-	e.t = 0
-}
-
 func (e *Estimator) String() string {
 	return fmt.Sprintf("bgprob(u=%.0f, t=%d, p=%.6f)", e.u, e.t, e.P())
 }

@@ -133,20 +133,6 @@ func TestObserveRunClampsEvents(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	e, _ := New(100, 0.25)
-	for i := 0; i < 100; i++ {
-		e.Observe(true)
-	}
-	e.Reset()
-	if e.Units() != 0 {
-		t.Fatalf("Units after Reset = %d", e.Units())
-	}
-	if e.P() != 0.25 {
-		t.Fatalf("P after Reset = %v, want prior", e.P())
-	}
-}
-
 func TestString(t *testing.T) {
 	e, _ := New(100, 0.25)
 	if e.String() == "" {

@@ -46,11 +46,6 @@ const (
 	LevelShed
 )
 
-// Levels lists the ladder rungs in order, for docs and experiments.
-func Levels() []Level {
-	return []Level{LevelFull, LevelNoHedge, LevelCheap, LevelPrior, LevelShed}
-}
-
 // String returns the level's wire name (stamped on session status,
 // explain profiles and experiment CSVs).
 func (l Level) String() string {

@@ -246,9 +246,9 @@ func TestConfigValidation(t *testing.T) {
 // TestLevelStrings pins the wire names the API surfaces depend on.
 func TestLevelStrings(t *testing.T) {
 	want := []string{"full", "no-hedge", "cheap-profile", "prior-only", "shed"}
-	for i, l := range Levels() {
-		if l.String() != want[i] {
-			t.Errorf("level %d = %q, want %q", i, l.String(), want[i])
+	for l := LevelFull; l <= LevelShed; l++ {
+		if l.String() != want[l] {
+			t.Errorf("level %d = %q, want %q", l, l.String(), want[l])
 		}
 	}
 	if got := Level(99).String(); got != "level(99)" {

@@ -227,9 +227,3 @@ func (m *CostMeter) Calls() int64 {
 	}
 	return m.calls.Load()
 }
-
-// Reset zeroes the meter.
-func (m *CostMeter) Reset() {
-	m.nanos.Store(0)
-	m.calls.Store(0)
-}

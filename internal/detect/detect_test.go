@@ -115,13 +115,13 @@ func TestIdealDetectorMatchesTruth(t *testing.T) {
 	rec := NewSimActionRecognizer(sc, IdealAction, nil)
 	for v := 0; v < 20000; v += 37 {
 		fired := len(det.Detect(video.FrameIdx(v), []annot.Label{"car"})) > 0
-		if fired != sc.Truth.ObjectOnFrame("car", video.FrameIdx(v)) {
+		if fired != sc.Truth.Objects["car"].Contains(v) {
 			t.Fatalf("ideal detector disagrees with truth at frame %d", v)
 		}
 	}
 	for s := 0; s < 2000; s += 7 {
 		fired := len(rec.Recognize(video.ShotIdx(s), []annot.Label{"run"})) > 0
-		want := sc.Truth.ActionOnShot("run", video.ShotIdx(s))
+		want := sc.Truth.Actions["run"].Contains(s)
 		if fired != want {
 			t.Fatalf("ideal recognizer disagrees with truth at shot %d", s)
 		}
@@ -216,10 +216,6 @@ func TestCostMeter(t *testing.T) {
 	m.Add(5 * time.Millisecond)
 	if m.Total() != 15*time.Millisecond || m.Calls() != 2 {
 		t.Fatalf("meter = %v/%d", m.Total(), m.Calls())
-	}
-	m.Reset()
-	if m.Total() != 0 || m.Calls() != 0 {
-		t.Fatal("reset failed")
 	}
 	var nilMeter *CostMeter
 	nilMeter.Add(time.Second) // must not panic

@@ -111,8 +111,5 @@ func (t *Tracker) Update(v video.FrameIdx, dets []Detection) []Detection {
 	return dets
 }
 
-// ActiveTracks returns the number of currently live tracks.
-func (t *Tracker) ActiveTracks() int { return len(t.active) }
-
 // TracksOpened returns the total number of track identifiers issued.
 func (t *Tracker) TracksOpened() int { return t.nextID - 1 }

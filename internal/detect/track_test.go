@@ -38,8 +38,8 @@ func TestTrackerSeparatesDistantBoxes(t *testing.T) {
 	if d[0].Track == 1 {
 		t.Fatal("distant box matched an existing track")
 	}
-	if trk.ActiveTracks() != 2 {
-		t.Fatalf("active tracks = %d, want 2", trk.ActiveTracks())
+	if len(trk.active) != 2 {
+		t.Fatalf("active tracks = %d, want 2", len(trk.active))
 	}
 }
 

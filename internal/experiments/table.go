@@ -47,26 +47,6 @@ func wallCols(names ...string) []Column {
 
 func (t *Table) add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// WithoutWall returns t without its wall-clock columns.
-func (t Table) WithoutWall() Table {
-	out := Table{Title: t.Title}
-	var keep []int
-	for i, c := range t.Columns {
-		if !c.Wall {
-			keep = append(keep, i)
-			out.Columns = append(out.Columns, c)
-		}
-	}
-	for _, row := range t.Rows {
-		r := make([]string, len(keep))
-		for j, i := range keep {
-			r[j] = row[i]
-		}
-		out.Rows = append(out.Rows, r)
-	}
-	return out
-}
-
 // WriteMarkdown writes t as a level-3 heading and a pipe table whose
 // columns are padded to a common width, followed by a blank line.
 func (t Table) WriteMarkdown(w io.Writer) error {

@@ -318,18 +318,6 @@ func (c *Collector) ClipOutcome(source string) {
 	c.mu.Unlock()
 }
 
-// AddUnits attributes n detector invocations to a layer directly
-// (the offline densifier path; engine predicates go through
-// ObservePredicate).
-func (c *Collector) AddUnits(layer string, n int64) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.mu.Lock()
-	c.p.Invocations[layer] += n
-	c.mu.Unlock()
-}
-
 // ObservePredicate folds one predicate evaluation into the profile:
 // the per-predicate aggregate, the invocation layers, and — for
 // planned evaluations — the planner aggregate.

@@ -15,7 +15,6 @@ func TestNilCollectorNoOps(t *testing.T) {
 	c.SetWorkload("w")
 	c.SetDurUS(1)
 	c.ClipOutcome(ClipScanAccept)
-	c.AddUnits(LayerDensify, 3)
 	c.ObservePredicate(PredObservation{Name: "obj:car", Units: 4})
 	c.SetInfer(InferProfile{CacheHits: 1})
 	c.SetResilience(ResilienceProfile{Retries: 1})
@@ -41,8 +40,7 @@ func TestClipAndUnitAttribution(t *testing.T) {
 	c.ClipOutcome(ClipScanAccept)
 	c.ClipOutcome(ClipScanReject)
 	c.ClipOutcome(ClipScanReject)
-	c.AddUnits(LayerDensify, 7)
-	c.AddUnits(LayerDensify, 0) // no-op, must not create the key twice
+	c.ObservePredicate(PredObservation{Name: "obj:car", Units: 7})
 
 	p := c.Profile()
 	if p.ID != "s1" || p.Kind != "online" || p.Query != "SELECT ..." || p.Workload != "q2" || p.DurUS != 1234 {
@@ -51,7 +49,7 @@ func TestClipAndUnitAttribution(t *testing.T) {
 	if p.Clips[ClipScanAccept] != 1 || p.Clips[ClipScanReject] != 2 {
 		t.Fatalf("clip attribution wrong: %v", p.Clips)
 	}
-	if p.Invocations[LayerDensify] != 7 {
+	if p.Invocations[LayerDense] != 7 || len(p.Invocations) != 1 {
 		t.Fatalf("unit attribution wrong: %v", p.Invocations)
 	}
 }

@@ -33,11 +33,6 @@ func (iv Interval) Len() int {
 // Contains reports whether x lies within the interval.
 func (iv Interval) Contains(x int) bool { return iv.Lo <= x && x <= iv.Hi }
 
-// Overlaps reports whether the two intervals share at least one position.
-func (iv Interval) Overlaps(o Interval) bool {
-	return iv.Lo <= o.Hi && o.Lo <= iv.Hi
-}
-
 // Intersect returns the overlap of the two intervals (possibly empty).
 func (iv Interval) Intersect(o Interval) Interval {
 	return Interval{Lo: max(iv.Lo, o.Lo), Hi: min(iv.Hi, o.Hi)}
@@ -90,17 +85,6 @@ func Normalize(ivs []Interval) Set {
 		out = append(out, iv)
 	}
 	return out
-}
-
-// FromPoints builds a Set from individual positions, merging consecutive
-// runs; used to turn per-clip indicator vectors into result sequences
-// (Equation 4).
-func FromPoints(points []int) Set {
-	ivs := make([]Interval, len(points))
-	for i, p := range points {
-		ivs[i] = Interval{Lo: p, Hi: p}
-	}
-	return Normalize(ivs)
 }
 
 // FromIndicators builds a Set of the maximal runs of true values,

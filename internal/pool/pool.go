@@ -33,7 +33,6 @@ var (
 // value is not usable; build with New.
 type Pool struct {
 	slots    chan struct{}
-	waiting  atomic.Int64
 	observer atomic.Value // func(time.Duration), set via SetObserver
 }
 
@@ -50,10 +49,6 @@ func (p *Pool) Cap() int { return cap(p.slots) }
 
 // InUse returns the number of slots currently held.
 func (p *Pool) InUse() int { return len(p.slots) }
-
-// Waiting returns the number of callers currently blocked in Acquire —
-// the queue depth an admission controller watches.
-func (p *Pool) Waiting() int { return int(p.waiting.Load()) }
 
 // SetObserver installs a callback receiving every Acquire's wait time
 // (successful or not); the serving daemon feeds its load-shedding
@@ -97,8 +92,6 @@ func (p *Pool) Acquire(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return wrapAcquireErr(err)
 	}
-	p.waiting.Add(1)
-	defer p.waiting.Add(-1)
 	select {
 	case p.slots <- struct{}{}:
 		return nil
@@ -107,17 +100,7 @@ func (p *Pool) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot if one is immediately free.
-func (p *Pool) TryAcquire() bool {
-	select {
-	case p.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a slot taken by Acquire or TryAcquire.
+// Release returns a slot taken by Acquire.
 func (p *Pool) Release() {
 	select {
 	case <-p.slots:

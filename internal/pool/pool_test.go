@@ -54,8 +54,8 @@ func TestBoundsConcurrency(t *testing.T) {
 
 func TestAcquireHonoursCancellation(t *testing.T) {
 	p := New(1)
-	if !p.TryAcquire() {
-		t.Fatal("TryAcquire on an empty pool failed")
+	if err := p.Acquire(nil); err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -96,8 +96,8 @@ func TestAcquireUnblocksOnCancel(t *testing.T) {
 // working.
 func TestAcquireErrorClassification(t *testing.T) {
 	p := New(1)
-	if !p.TryAcquire() {
-		t.Fatal("TryAcquire failed on empty pool")
+	if err := p.Acquire(nil); err != nil {
+		t.Fatal(err)
 	}
 	defer p.Release()
 
@@ -133,41 +133,25 @@ func TestAcquireErrorClassification(t *testing.T) {
 	}
 }
 
-func TestWaitingGaugeAndObserver(t *testing.T) {
+// TestObserverSeesEveryAcquire: the observer (the daemon's load
+// signal) receives one wait per Acquire, immediate or queued, including
+// a queued wait that timed out.
+func TestObserverSeesEveryAcquire(t *testing.T) {
 	p := New(1)
-	if p.Waiting() != 0 {
-		t.Fatalf("idle pool Waiting() = %d", p.Waiting())
-	}
-	var observed atomic.Int64
-	p.SetObserver(func(time.Duration) { observed.Add(1) })
+	var waits []time.Duration
+	p.SetObserver(func(w time.Duration) { waits = append(waits, w) })
 
-	if !p.TryAcquire() {
-		t.Fatal("TryAcquire failed")
-	}
-	started := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		close(started)
-		done <- p.Acquire(context.Background())
-	}()
-	<-started
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Waiting() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("Waiting() never reached 1 (got %d)", p.Waiting())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	p.Release()
-	if err := <-done; err != nil {
+	if err := p.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	p.Release()
-	if p.Waiting() != 0 {
-		t.Fatalf("Waiting() = %d after drain", p.Waiting())
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if err := p.Acquire(ctx); !errors.Is(err, ErrQueueTimeout) {
+		t.Fatalf("queued Acquire = %v, want ErrQueueTimeout", err)
 	}
-	if observed.Load() == 0 {
-		t.Fatal("observer saw no acquisitions")
+	p.Release()
+	if len(waits) != 2 || waits[1] < time.Millisecond {
+		t.Fatalf("observed waits %v, want an immediate one and a ≥1ms queued one", waits)
 	}
 }
 

@@ -19,9 +19,6 @@ type Heap struct {
 // Min returns a min-heap ordering (Peek yields the smallest priority).
 func Min(a, b float64) bool { return a < b }
 
-// Max returns a max-heap ordering (Peek yields the largest priority).
-func Max(a, b float64) bool { return a > b }
-
 // New builds an empty heap able to hold items 0..capacity−1.
 func New(capacity int, less func(a, b float64) bool) *Heap {
 	h := &Heap{
@@ -40,10 +37,6 @@ func (h *Heap) Len() int { return len(h.heap) }
 
 // Contains reports whether item id is in the heap.
 func (h *Heap) Contains(id int) bool { return id >= 0 && id < len(h.pos) && h.pos[id] >= 0 }
-
-// Priority returns the stored priority of item id (meaningful only when
-// Contains(id)).
-func (h *Heap) Priority(id int) float64 { return h.prio[id] }
 
 // Push inserts item id with the given priority; if the item is already
 // present its priority is updated instead.

@@ -35,7 +35,7 @@ func TestMinHeapBasics(t *testing.T) {
 }
 
 func TestMaxHeap(t *testing.T) {
-	h := New(3, Max)
+	h := New(3, func(a, b float64) bool { return a > b })
 	h.Push(0, 3)
 	h.Push(1, 7)
 	h.Push(2, 5)
@@ -57,8 +57,8 @@ func TestUpdateMovesItem(t *testing.T) {
 	if id, _, _ := h.Peek(); id != 0 {
 		t.Fatalf("Peek after second update = %d", id)
 	}
-	if h.Priority(3) != 100 {
-		t.Fatalf("Priority(3) = %v", h.Priority(3))
+	if h.prio[3] != 100 {
+		t.Fatalf("priority of 3 = %v", h.prio[3])
 	}
 }
 

@@ -205,22 +205,8 @@ func (s *Sketch) Query(q float64) float64 {
 // Count returns the number of observed values.
 func (s *Sketch) Count() int64 { return int64(s.n) + int64(len(s.buf)) }
 
-// Samples returns the current number of retained samples (diagnostics:
-// the whole point of the sketch is that this stays far below Count).
-func (s *Sketch) Samples() int {
-	s.flush()
-	return len(s.samples)
-}
-
 // Min and Max return the exact stream extremes (0 on an empty sketch).
 func (s *Sketch) Min() float64 { return s.Query(0) }
 
 // Max returns the exact maximum observed value.
 func (s *Sketch) Max() float64 { return s.Query(1) }
-
-// Reset discards all observations, keeping the targets.
-func (s *Sketch) Reset() {
-	s.samples = s.samples[:0]
-	s.buf = s.buf[:0]
-	s.n = 0
-}

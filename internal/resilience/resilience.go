@@ -944,18 +944,9 @@ type Models struct {
 	Rec *Recognizer
 }
 
-// Wrap builds resilient wrappers around an (infallible or fallible)
-// detector/recognizer pair. Infallible backends are adapted first, so
-// Wrap is safe — and nearly free — on the plain simulators.
-func Wrap(det detect.ObjectDetector, rec detect.ActionRecognizer, p Policy, opt Options) *Models {
-	return &Models{
-		Det: NewDetector(detect.AsFallibleObject(det), p, opt),
-		Rec: NewRecognizer(detect.AsFallibleAction(rec), p, opt),
-	}
-}
-
-// WrapFallible builds resilient wrappers directly over fallible
-// backends (e.g. fault injectors).
+// WrapFallible builds resilient wrappers over fallible backends (e.g.
+// fault injectors). Plain simulators go through detect.AsFallibleObject
+// and detect.AsFallibleAction first, which makes the wrap nearly free.
 func WrapFallible(det detect.FallibleObjectDetector, rec detect.FallibleActionRecognizer, p Policy, opt Options) *Models {
 	return &Models{
 		Det: NewDetector(det, p, opt),

@@ -57,7 +57,7 @@ func TestWrapTransparentOnHealthyBackend(t *testing.T) {
 	scene, _ := testScene(7)
 	det := detect.NewSimObjectDetector(scene, detect.MaskRCNN, nil)
 	rec := detect.NewSimActionRecognizer(scene, detect.I3D, nil)
-	m := resilience.Wrap(det, rec, resilience.DefaultPolicy(), resilience.Options{})
+	m := resilience.WrapFallible(detect.AsFallibleObject(det), detect.AsFallibleAction(rec), resilience.DefaultPolicy(), resilience.Options{})
 	for f := 0; f < 500; f++ {
 		got := m.Det.Detect(video.FrameIdx(f), labels)
 		want := det.Detect(video.FrameIdx(f), labels)

@@ -7,8 +7,6 @@ import (
 
 	"vaq/internal/annot"
 	"vaq/internal/ingest"
-	"vaq/internal/interval"
-	"vaq/internal/tables"
 )
 
 // NoSkip runs RVAQ with the skip mechanism disabled (§5.1's
@@ -158,12 +156,3 @@ func sortResults(results []SeqResult) {
 		return results[a].Seq.Lo < results[b].Seq.Lo
 	})
 }
-
-// SequencesOf re-exports the candidate computation for callers that want
-// P_q without ranking (Equation 12).
-func SequencesOf(vd *ingest.VideoData, q annot.Query) (interval.Set, error) {
-	return vd.CandidateSequences(q)
-}
-
-// AccessTotal sums an AccessCounter for reporting.
-func AccessTotal(c tables.AccessCounter) int64 { return c.Sorted + c.Reverse + c.Random }

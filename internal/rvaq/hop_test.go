@@ -104,40 +104,14 @@ func TestHopDiscountMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFlatDiscountIsSingleEntryTable pins the compatibility contract:
-// a single-entry hop table is byte-identical to the legacy flat
-// DegradedDiscount, results and stats both.
-func TestFlatDiscountIsSingleEntryTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		vd, q := synthVideoData(rng, 200, 8)
-		markDegraded(rng, vd, 200)
-		flat, fstats, err := TopK(vd, q, 5, Options{Skip: true, ExactScores: true, DegradedDiscount: 0.4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab, tstats, err := TopK(vd, q, 5, Options{Skip: true, ExactScores: true, HopDiscounts: []float64{0.4}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(flat, tab) {
-			t.Fatalf("trial %d: flat %v != single-entry table %v", trial, flat, tab)
-		}
-		if fstats.DegradedClips != tstats.DegradedClips {
-			t.Fatalf("trial %d: DegradedClips %d (flat) != %d (table)", trial, fstats.DegradedClips, tstats.DegradedClips)
-		}
-	}
-}
-
 // TestHopDiscountValidation pins the option validation: out-of-range
-// entries and mixing the flat and per-hop forms are rejected.
+// entries are rejected.
 func TestHopDiscountValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vd, q := synthVideoData(rng, 100, 4)
 	for _, opts := range []Options{
 		{HopDiscounts: []float64{0.5, 1.5}},
 		{HopDiscounts: []float64{-0.2}},
-		{HopDiscounts: []float64{0.5}, DegradedDiscount: 0.5},
 	} {
 		if _, _, err := TopK(vd, q, 3, opts); err == nil {
 			t.Errorf("opts %+v accepted, want error", opts)

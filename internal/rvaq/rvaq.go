@@ -30,7 +30,7 @@ type SeqResult struct {
 	Score float64           // exact when Options.ExactScores, else the lower bound
 	// Degraded marks a sequence containing at least one clip whose
 	// ingest-time model outputs came from the resilience fallback chain.
-	// Only set when Options.DegradedDiscount is armed (its Score is then
+	// Only set when Options.HopDiscounts is armed (its Score is then
 	// already down-weighted).
 	Degraded bool
 }
@@ -47,7 +47,7 @@ type Stats struct {
 	Candidates int           // |P_q|
 	Iterations int           // TBClip steps (RVAQ variants only)
 	// DegradedClips counts degraded clips inside the candidate
-	// sequences (only computed when Options.DegradedDiscount is armed).
+	// sequences (only computed when Options.HopDiscounts is armed).
 	DegradedClips int
 	// DensifiedClips counts clips whose scores were completed through
 	// Options.Densify on a planned repository.
@@ -105,28 +105,22 @@ type Options struct {
 	// — just unrefined — answer. Off, an expired ctx is an error (the
 	// pre-existing behavior).
 	Partial bool
-	// DegradedDiscount, in (0, 1], down-weights clips the repository
-	// marked degraded at ingest time (VideoData.DegradedClipHops): a
-	// degraded clip's exact score is multiplied by (1 − discount), and
-	// results whose sequence contains a degraded clip carry
-	// SeqResult.Degraded. The frontier bounds stay valid — a discounted
-	// score never exceeds its raw value, so τ_top is still an upper
-	// bound, and τ_btm is conservatively scaled by (1 − discount) for
-	// the lower bound. 0 disables (degraded clips score as ingested).
-	// RVAQ only; the baselines ignore it.
-	DegradedDiscount float64
-	// HopDiscounts generalizes DegradedDiscount to a per-hop table:
-	// entry h−1 is the discount applied to clips whose worst degraded
-	// unit was served by fallback hop h (1-based, as recorded in
+	// HopDiscounts down-weights clips the repository marked degraded at
+	// ingest time (VideoData.DegradedClipHops): entry h−1 is the
+	// discount d applied to clips whose worst degraded unit was served
+	// by fallback hop h (1-based, as recorded in
 	// VideoData.DegradedFrameHops/DegradedShotHops), so a hop-1
-	// cheap-profile serve is down-weighted less than a hop-3
-	// prior-only one. Hops past the table clamp to its last entry;
+	// cheap-profile serve is down-weighted less than a hop-3 prior-only
+	// one. A degraded clip's exact score is multiplied by (1 − d), and
+	// results whose sequence contains a degraded clip carry
+	// SeqResult.Degraded. Hops past the table clamp to its last entry;
 	// units with no recorded hop (pre-hop manifests) take the table's
-	// worst (maximum) entry. Every entry must lie in [0, 1]. τ_btm is
-	// conservatively scaled by (1 − max entry), so the frontier
-	// bounds stay sound exactly as with the flat discount — which is
-	// the single-entry-table special case. Mutually exclusive with
-	// DegradedDiscount.
+	// worst (maximum) entry, so a one-entry table [d] is a flat discount.
+	// Every entry must lie in [0, 1]. The frontier bounds stay valid — a
+	// discounted score never exceeds its raw value, so τ_top is still an
+	// upper bound, and τ_btm is conservatively scaled by (1 − max entry)
+	// for the lower bound. Empty disables (degraded clips score as
+	// ingested). RVAQ only; the baselines ignore it.
 	HopDiscounts []float64
 	// Densify, when non-nil on a planned repository (VideoData.Plan
 	// set), recomputes a clip's exact score from every unit of the
@@ -190,16 +184,10 @@ func TopKCtx(ctx context.Context, vd *ingest.VideoData, q annot.Query, k int, op
 	if k <= 0 {
 		return nil, Stats{}, fmt.Errorf("rvaq: k must be positive, got %d", k)
 	}
-	if d := opts.DegradedDiscount; d < 0 || d > 1 {
-		return nil, Stats{}, fmt.Errorf("rvaq: DegradedDiscount must be in [0, 1], got %v", d)
-	}
 	for _, d := range opts.HopDiscounts {
 		if d < 0 || d > 1 {
 			return nil, Stats{}, fmt.Errorf("rvaq: hop discounts must be in [0, 1], got %v", d)
 		}
-	}
-	if len(opts.HopDiscounts) > 0 && opts.DegradedDiscount > 0 {
-		return nil, Stats{}, fmt.Errorf("rvaq: DegradedDiscount and HopDiscounts are mutually exclusive")
 	}
 	tr := trace.FromContext(ctx)
 	ctx, qspan := trace.Start(ctx, "rvaq.topk")
@@ -248,22 +236,17 @@ func TopKCtx(ctx context.Context, vd *ingest.VideoData, q annot.Query, k int, op
 		seqs[i] = &seqState{iv: iv, knownScore: fns.F.Zero(), knownHi: fns.F.Zero()}
 	}
 
-	// Degraded-clip discounting (armed by DegradedDiscount > 0 or a
-	// HopDiscounts table — the flat discount is the single-entry
-	// special case): mark the candidate sequences touching degraded
-	// clips, and scale the bottom frontier bound conservatively —
-	// every unseen clip's effective score is at least its raw τ_btm
-	// bound times the worst-case factor (1 − max table entry).
-	hopTable := opts.HopDiscounts
-	if len(hopTable) == 0 && opts.DegradedDiscount > 0 {
-		hopTable = []float64{opts.DegradedDiscount}
-	}
+	// Degraded-clip discounting (armed by a HopDiscounts table): mark the
+	// candidate sequences touching degraded clips, and scale the bottom
+	// frontier bound conservatively — every unseen clip's effective
+	// score is at least its raw τ_btm bound times the worst-case factor
+	// (1 − max table entry).
 	var degraded map[int32]int
 	btmFactor := 1.0
-	if len(hopTable) > 0 {
+	if len(opts.HopDiscounts) > 0 {
 		degraded = vd.DegradedClipHops()
 		if len(degraded) > 0 {
-			btmFactor = 1 - maxDiscount(hopTable)
+			btmFactor = 1 - maxDiscount(opts.HopDiscounts)
 			for cid := range degraded {
 				if i, ok := findSeq(pq, cid); ok {
 					seqs[i].degraded = true
@@ -311,7 +294,7 @@ func TopKCtx(ctx context.Context, vd *ingest.VideoData, q annot.Query, k int, op
 	if len(degraded) > 0 {
 		it.discount = func(cid int32) float64 {
 			if hop, ok := degraded[cid]; ok {
-				return 1 - hopDiscount(hopTable, hop)
+				return 1 - hopDiscount(opts.HopDiscounts, hop)
 			}
 			return 1
 		}

@@ -278,23 +278,3 @@ func TestNegativeScoreRejected(t *testing.T) {
 		t.Fatal("negative clip score accepted")
 	}
 }
-
-func TestAccessTotal(t *testing.T) {
-	c := tables.AccessCounter{Sorted: 1, Reverse: 2, Random: 3}
-	if AccessTotal(c) != 6 {
-		t.Fatalf("AccessTotal = %d", AccessTotal(c))
-	}
-}
-
-func TestSequencesOf(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	vd, q := synthVideoData(rng, 100, 4)
-	pq, err := SequencesOf(vd, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, _ := vd.CandidateSequences(q)
-	if !pq.Equal(direct) {
-		t.Fatal("SequencesOf differs from CandidateSequences")
-	}
-}

@@ -21,18 +21,3 @@ func BenchmarkTailProb(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkMarkovTailExact measures the FMCE embedding at the action
-// window size (W = 5 shots) and a mid-size window.
-func BenchmarkMarkovTailExact(b *testing.B) {
-	for _, w := range []int{5, 12} {
-		b.Run(string(rune('0'+w/10))+string(rune('0'+w%10)), func(b *testing.B) {
-			mp := MarkovParams{P01: 0.01, P11: 0.4, W: w, N: 10000}
-			for i := 0; i < b.N; i++ {
-				if _, err := MarkovTailExact(mp, 3); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

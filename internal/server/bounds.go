@@ -85,6 +85,7 @@ func (r *boundRegistry) exchange(id string, incoming *float64) (float64, bool) {
 func (s *Server) handleShardBound(w http.ResponseWriter, r *http.Request) {
 	var req BoundExchangeRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
+	dec.DisallowUnknownFields() // a misspelled option is an error, not silently ignored
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
 		return

@@ -166,7 +166,6 @@ func TestTopKHopDiscountValidation(t *testing.T) {
 	}{
 		{"entry above one", TopKRequest{Action: "blowing_leaves", HopDiscounts: []float64{0.2, 1.5}}},
 		{"negative entry", TopKRequest{Action: "blowing_leaves", HopDiscounts: []float64{-0.1}}},
-		{"both discounts set", TopKRequest{Action: "blowing_leaves", DegradedDiscount: 0.5, HopDiscounts: []float64{0.2}}},
 	}
 	for _, tc := range cases {
 		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/topk", tc.req, nil); code != http.StatusBadRequest {

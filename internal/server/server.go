@@ -55,18 +55,14 @@ type Config struct {
 	// Resilience is the retry/deadline/breaker policy wrapped around
 	// session detectors; nil uses resilience.DefaultPolicy.
 	Resilience *resilience.Policy
-	// ShedWait arms admission control: when the p90 worker-pool queue
-	// wait over the recent window reaches ShedWait, session-create and
-	// top-k requests are rejected with 503 + Retry-After instead of
-	// queuing unboundedly. 0 disables shedding.
-	ShedWait time.Duration
 	// Brownout arms the load-regulated degradation ladder (High > 0):
 	// the same p90 queue-wait signal walks the levels
 	// full → no-hedge → cheap-profile → prior-only → shed with
 	// hysteresis (step up at High, down at Low, at most one step per
 	// Dwell), and each level reconfigures every session's resilience
-	// posture in place. The ladder subsumes the binary ShedWait
-	// control; both may be armed together (either can shed).
+	// posture in place. At the shed level, session-create and top-k
+	// requests are rejected with 503 + Retry-After instead of queuing
+	// unboundedly; unarmed, nothing sheds.
 	Brownout brownout.Config
 	// HedgeQuantile arms hedged requests on session backends: an
 	// attempt outliving this observed latency quantile races a second
@@ -173,7 +169,7 @@ func New(cfg Config) *Server {
 		reg:    NewRegistry(cfg.MaxSessions, cfg.Workers),
 		met:    newMetrics(),
 		mux:    http.NewServeMux(),
-		shed:   newShedWindow(cfg.ShedWait),
+		shed:   newShedWindow(),
 		ring:   explain.NewRing(cfg.ExplainRing),
 		hist:   newHealthHistory(),
 		bounds: newBoundRegistry(),
@@ -317,24 +313,17 @@ func (s *Server) evalBrownout() {
 }
 
 // shedIfOverloaded applies admission control: when the brownout ladder
-// sits at its shed level, or the legacy shed window says the worker
-// queue is past its wait threshold, answer 503 with a Retry-After hint
-// and report true so the handler returns without doing any work.
+// sits at its shed level, answer 503 with a Retry-After hint and report
+// true so the handler returns without doing any work.
 func (s *Server) shedIfOverloaded(w http.ResponseWriter) bool {
 	s.evalBrownout()
-	if s.bo.Level() == brownout.LevelShed {
-		s.bo.Shed()
-		w.Header().Set("Retry-After", strconv.Itoa(s.shed.shedRetry(s.cfg.Brownout.High)))
-		writeErr(w, http.StatusServiceUnavailable, "overloaded",
-			"brownout ladder at level shed; retry later", nil)
-		return true
-	}
-	if !s.shed.overloaded() {
+	if s.bo.Level() != brownout.LevelShed {
 		return false
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(s.shed.shed()))
+	s.bo.Shed()
+	w.Header().Set("Retry-After", strconv.Itoa(s.shed.shedRetry(s.cfg.Brownout.High)))
 	writeErr(w, http.StatusServiceUnavailable, "overloaded",
-		"worker queue wait exceeds the shed threshold; retry later", nil)
+		"brownout ladder at level shed; retry later", nil)
 	return true
 }
 
@@ -395,6 +384,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	var req CreateSessionRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields() // a misspelled option is an error, not silently ignored
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
 		return
@@ -634,6 +624,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	var req TopKRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields() // a misspelled option is an error, not silently ignored
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
 		return
@@ -671,20 +662,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_timeout", "timeout_ms must be non-negative", nil)
 		return
 	}
-	if req.DegradedDiscount < 0 || req.DegradedDiscount > 1 {
-		writeErr(w, http.StatusBadRequest, "bad_discount", "degraded_discount must be in [0, 1]", nil)
-		return
-	}
 	for _, d := range req.HopDiscounts {
 		if d < 0 || d > 1 {
 			writeErr(w, http.StatusBadRequest, "bad_discount", "hop_discounts entries must be in [0, 1]", nil)
 			return
 		}
-	}
-	if req.DegradedDiscount > 0 && len(req.HopDiscounts) > 0 {
-		writeErr(w, http.StatusBadRequest, "bad_discount",
-			"degraded_discount and hop_discounts are mutually exclusive", nil)
-		return
 	}
 
 	// Offline queries honour the request context and draw worker slots
@@ -713,7 +695,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if ex != nil && s.bo != nil {
 		ex.SetBrownout(s.bo.Level().String())
 	}
-	eo := vaq.ExecOptions{Ctx: ctx, Pool: s.reg.Pool(), Partial: req.Partial, DegradedDiscount: req.DegradedDiscount, HopDiscounts: req.HopDiscounts, Explain: ex}
+	eo := vaq.ExecOptions{Ctx: ctx, Pool: s.reg.Pool(), Partial: req.Partial, HopDiscounts: req.HopDiscounts, Explain: ex}
 	if req.BoundQuery != "" {
 		// The query joins the cross-process bound exchange a coordinator
 		// scattered it under: remote shards' progress, broadcast via
@@ -823,7 +805,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Requests:     requests,
 		Errors:       errors,
 		ShedRequests: s.shed.Sheds(),
-		Overloaded:   s.shed.overloaded(),
 	}
 	// Windowed rates: subtract the oldest history sample still inside
 	// the rolling window; before any sample exists the rates cover the
@@ -844,10 +825,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.BrownoutLevel = s.bo.Level().String()
 		if s.bo.Level() == brownout.LevelShed {
 			resp.Overloaded = true
+			resp.Status = "overloaded"
 		}
-	}
-	if resp.Overloaded {
-		resp.Status = "overloaded"
 	}
 	hist := s.hist.snapshots()
 	resp.Snapshots = len(hist)

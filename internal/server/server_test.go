@@ -397,6 +397,37 @@ func TestCreateErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownJSONFieldsRejected: every request decoder rejects fields
+// the wire contract does not define, so a misspelled option — or the
+// removed flat degraded_discount — is a 400, not silently ignored.
+func TestUnknownJSONFieldsRejected(t *testing.T) {
+	_, ts := startServer(t, Config{Repo: buildRepo(t)})
+	cases := []struct {
+		name, path, body string
+		code             int
+	}{
+		{"topk misspelled field", "/v1/topk", `{"action":"blowing_leaves","video":"q2","k":3,"hop_discount":[0.5]}`, http.StatusBadRequest},
+		{"topk degraded_discount", "/v1/topk", `{"action":"blowing_leaves","video":"q2","k":3,"degraded_discount":0.5}`, http.StatusBadRequest},
+		{"topk valid", "/v1/topk", `{"action":"blowing_leaves","video":"q2","k":3,"hop_discounts":[0.5]}`, http.StatusOK},
+		{"session misspelled field", "/v1/sessions", `{"workload":"q2","scale":0.02,"max_clip":3}`, http.StatusBadRequest},
+		{"session valid", "/v1/sessions", `{"workload":"q2","scale":0.02,"max_clips":3}`, http.StatusCreated},
+		{"bound misspelled field", "/v1/shard/bound", `{"query":"b1","bnd":1}`, http.StatusBadRequest},
+		{"bound valid", "/v1/shard/bound", `{"query":"b1","bound":1}`, http.StatusOK},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var resp ErrorResponse
+			code := doJSON(t, http.MethodPost, ts.URL+c.path, json.RawMessage(c.body), &resp)
+			if code != c.code {
+				t.Fatalf("status %d, want %d (%+v)", code, c.code, resp)
+			}
+			if c.code == http.StatusBadRequest && resp.Error.Code != "bad_json" {
+				t.Errorf("error code %q, want bad_json", resp.Error.Code)
+			}
+		})
+	}
+}
+
 func TestSessionLimit(t *testing.T) {
 	_, ts := startServer(t, Config{MaxSessions: 2})
 	ids := make([]string, 0, 2)

@@ -7,13 +7,11 @@ import (
 	"time"
 )
 
-// shedWindow tells an overloaded daemon from a busy one. Every pool
-// acquisition reports its queue wait; the window keeps the recent
-// samples and declares overload when the p90 wait crosses the
-// configured threshold. Admission handlers consult it before doing any
-// work and answer 503 + Retry-After instead of queuing unboundedly —
-// shedding at the door is the resilience counterpart of the engines'
-// graceful degradation.
+// shedWindow is the daemon's load signal. Every pool acquisition
+// reports its queue wait; the window keeps the recent samples and
+// reports their p90, which walks the brownout ladder (whose last rung
+// sheds at the door), warms the adaptive retry budget and shows in
+// /healthz. It also counts shed requests and scales their Retry-After.
 //
 // The window is a bounded deque (arrival order) plus a parallel
 // sorted multiset of the same waits, maintained incrementally: each
@@ -22,10 +20,9 @@ import (
 // path allocates nothing — the previous implementation copied and
 // sort.Slice'd the whole window per check.
 type shedWindow struct {
-	threshold time.Duration // p90 wait that trips shedding; <=0 disables
-	span      time.Duration // how far back samples count
-	minSamp   int           // fewer samples than this never sheds
-	now       func() time.Time
+	span    time.Duration // how far back samples count
+	minSamp int           // fewer samples than this report no p90
+	now     func() time.Time
 
 	mu    sync.Mutex
 	when  []time.Time     // arrival ring, oldest at head
@@ -45,21 +42,20 @@ type shedWindow struct {
 // spans well past the freshness horizon.
 const shedRing = 256
 
-func newShedWindow(threshold time.Duration) *shedWindow {
+func newShedWindow() *shedWindow {
 	return &shedWindow{
-		threshold: threshold,
-		span:      10 * time.Second,
-		minSamp:   8,
-		now:       time.Now,
-		when:      make([]time.Time, shedRing),
-		wait:      make([]time.Duration, shedRing),
-		sorted:    make([]time.Duration, 0, shedRing),
+		span:    10 * time.Second,
+		minSamp: 8,
+		now:     time.Now,
+		when:    make([]time.Time, shedRing),
+		wait:    make([]time.Duration, shedRing),
+		sorted:  make([]time.Duration, 0, shedRing),
 	}
 }
 
 // observe records one pool-acquisition wait; wired via pool.SetObserver.
-// Samples are kept even when the shed threshold is disabled — /healthz
-// reports the p90 queue wait whether or not admission control is armed.
+// Samples are kept whether or not the brownout ladder is armed —
+// /healthz reports the p90 queue wait either way.
 func (sw *shedWindow) observe(wait time.Duration) {
 	if sw == nil {
 		return
@@ -100,19 +96,9 @@ func (sw *shedWindow) removeOldestLocked() {
 	sw.count--
 }
 
-// overloaded reports whether the p90 queue wait over the fresh samples
-// is at or past the threshold. It needs minSamp fresh samples to say
-// yes: a daemon that has barely served anything is not overloaded.
-func (sw *shedWindow) overloaded() bool {
-	if sw == nil || sw.threshold <= 0 {
-		return false
-	}
-	p90, ok := sw.waitP90()
-	return ok && p90 >= sw.threshold
-}
-
 // waitP90 returns the p90 queue wait over the fresh samples; ok is
-// false with fewer than minSamp of them.
+// false with fewer than minSamp of them (a daemon that has barely
+// served anything has no load reading).
 func (sw *shedWindow) waitP90() (time.Duration, bool) {
 	if sw == nil {
 		return 0, false
@@ -126,15 +112,11 @@ func (sw *shedWindow) waitP90() (time.Duration, bool) {
 	return sw.sorted[sw.count*9/10], true
 }
 
-// shed counts one rejected request and returns the Retry-After hint in
-// seconds, scaled by how far the p90 wait overshoots the threshold
-// (capped at 8×) and clamped to [1, 60] — the hotter the queue, the
-// longer clients are told to stay away.
-func (sw *shedWindow) shed() int { return sw.shedRetry(sw.threshold) }
-
-// shedRetry is shed against an explicit threshold — the brownout
-// ladder sheds against its own High watermark, not the legacy
-// -shed-wait one.
+// shedRetry counts one rejected request and returns the Retry-After
+// hint in seconds: the threshold (the brownout ladder's High
+// watermark), scaled by how far the p90 wait overshoots it (capped at
+// 8×) and clamped to [1, 60] — the hotter the queue, the longer
+// clients are told to stay away.
 func (sw *shedWindow) shedRetry(threshold time.Duration) int {
 	sw.sheds.Add(1)
 	retry := float64(threshold) / float64(time.Second)

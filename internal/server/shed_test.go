@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"vaq/internal/brownout"
 )
 
 func jsonBody(t *testing.T, v any) io.Reader {
@@ -20,57 +22,71 @@ func jsonBody(t *testing.T, v any) io.Reader {
 
 func TestShedWindow(t *testing.T) {
 	now := time.Unix(1000, 0)
-	sw := newShedWindow(10 * time.Millisecond)
+	sw := newShedWindow()
 	sw.now = func() time.Time { return now }
 
-	if sw.overloaded() {
-		t.Fatal("empty window reports overload")
+	if _, ok := sw.waitP90(); ok {
+		t.Fatal("empty window reports a p90")
 	}
-	// Below the sample floor: even terrible waits must not shed.
+	// Below the sample floor: even terrible waits give no reading.
 	for i := 0; i < sw.minSamp-1; i++ {
 		sw.observe(time.Second)
 	}
-	if sw.overloaded() {
-		t.Fatal("overloaded below the sample floor")
+	if _, ok := sw.waitP90(); ok {
+		t.Fatal("p90 reported below the sample floor")
 	}
 	sw.observe(time.Second)
-	if !sw.overloaded() {
-		t.Fatal("p90 wait of 1s at threshold 10ms did not trip")
+	if p90, ok := sw.waitP90(); !ok || p90 != time.Second {
+		t.Fatalf("waitP90 at the floor = %v, %v; want 1s, true", p90, ok)
 	}
-	// Samples age out: the same window 11s later is calm again.
+	// The p90 overshoots a 100ms threshold 10×: Retry-After is capped at 8×.
+	if got := sw.shedRetry(100 * time.Millisecond); got != 8 {
+		t.Fatalf("shedRetry at 10× overshoot = %d, want 8", got)
+	}
+	// Samples age out: the same window 11s later has no reading.
 	now = now.Add(11 * time.Second)
-	if sw.overloaded() {
-		t.Fatal("stale samples still trip the shedder")
+	if _, ok := sw.waitP90(); ok {
+		t.Fatal("stale samples still give a p90")
 	}
-	// Healthy waits keep admission open.
+	// Healthy waits: the p90 is the 90th-percentile fresh sample.
 	for i := 0; i < 2*sw.minSamp; i++ {
-		sw.observe(time.Millisecond / 2)
+		sw.observe(time.Duration(i) * time.Millisecond)
 	}
-	if sw.overloaded() {
-		t.Fatal("sub-threshold waits trip the shedder")
+	if p90, ok := sw.waitP90(); !ok || p90 != 14*time.Millisecond {
+		t.Fatalf("waitP90 over 0..15ms = %v, %v; want 14ms, true", p90, ok)
+	}
+	// Below the threshold the hint is the threshold itself, at least 1s.
+	if got := sw.shedRetry(100 * time.Millisecond); got != 1 {
+		t.Fatalf("shedRetry under the threshold = %d, want 1", got)
+	}
+	if sw.Sheds() != 2 {
+		t.Fatalf("Sheds = %d, want 2", sw.Sheds())
 	}
 
-	// Disabled (threshold 0) and nil windows never shed.
-	off := newShedWindow(0)
-	off.observe(time.Hour)
-	if off.overloaded() {
-		t.Fatal("disabled shedder tripped")
-	}
 	var nilSW *shedWindow
-	if nilSW.overloaded() || nilSW.Sheds() != 0 {
+	if _, ok := nilSW.waitP90(); ok || nilSW.Sheds() != 0 {
 		t.Fatal("nil shedWindow misbehaves")
 	}
 }
 
-// TestShedding503: once the shed window trips, session-create and top-k
-// admissions answer 503 with a Retry-After hint, the rejections are
-// counted in /metricsz, and recovery reopens admission.
+// TestShedding503: once the brownout ladder reaches its shed rung,
+// session-create and top-k admissions answer 503 with a Retry-After
+// hint, the rejections are counted in /metricsz, /healthz reports
+// overload, and admission reopens once the samples age out.
 func TestShedding503(t *testing.T) {
-	srv, ts := startServer(t, Config{Repo: buildRepo(t), ShedWait: time.Millisecond})
 	now := time.Unix(2000, 0)
-	srv.shed.now = func() time.Time { return now }
+	clock := func() time.Time { return now }
+	srv, ts := startServer(t, Config{
+		Repo:     buildRepo(t),
+		Brownout: brownout.Config{High: time.Millisecond, Dwell: time.Second, Now: clock},
+	})
+	srv.shed.now = clock
 	for i := 0; i < 10; i++ {
 		srv.shed.observe(10 * time.Millisecond)
+	}
+	for srv.bo.Level() != brownout.LevelShed {
+		now = now.Add(2 * time.Second)
+		srv.evalBrownout()
 	}
 
 	post := func(path string, body any) *http.Response {
@@ -104,11 +120,20 @@ func TestShedding503(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, ts.URL+"/metricsz", nil, &mz); code != http.StatusOK {
 		t.Fatalf("metricsz: status %d", code)
 	}
-	if mz.ShedRequests < 2 {
-		t.Fatalf("shed_requests = %d, want >= 2", mz.ShedRequests)
+	if mz.ShedRequests != 2 {
+		t.Fatalf("shed_requests = %d, want 2", mz.ShedRequests)
+	}
+	var hz HealthzResponse
+	if code := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, &hz); code != http.StatusOK {
+		t.Fatalf("healthz: status %d", code)
+	}
+	if hz.Status != "overloaded" || !hz.Overloaded || hz.ShedRequests != 2 {
+		t.Fatalf("healthz = status %q overloaded %v shed_requests %d, want overloaded/true/2",
+			hz.Status, hz.Overloaded, hz.ShedRequests)
 	}
 
-	// Load subsides (samples age out): admission reopens.
+	// Load subsides (samples age out): the admission check's own
+	// evaluation steps the ladder off its shed rung and admits.
 	now = now.Add(time.Minute)
 	var info SessionInfo
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions",

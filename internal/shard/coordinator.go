@@ -194,6 +194,7 @@ func (co *Coordinator) writeShardFailure(w http.ResponseWriter, cl *client, err 
 func (co *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req api.TopKRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields() // a misspelled option is an error, not silently ignored
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
 		return
@@ -581,6 +582,7 @@ func parsePublicID(pub string) (int, string, error) {
 func (co *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateSessionRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields() // a misspelled option is an error, not silently ignored
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
 		return

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -392,6 +393,49 @@ func TestScatterInvalidQuery(t *testing.T) {
 	}
 	if errResp.Error.Code != "invalid_query" {
 		t.Fatalf("invalid query error %+v", errResp.Error)
+	}
+}
+
+// TestUnknownJSONFieldsRejected: the coordinator's request decoders
+// reject fields the wire contract does not define, as a shard's do, so
+// a misspelled option — or the removed flat degraded_discount — is a
+// 400 before any scatter.
+func TestUnknownJSONFieldsRejected(t *testing.T) {
+	c := startCluster(t, 2, nil)
+	_, q := corpus(t)
+	topk, err := json.Marshal(topKReq(q, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := []byte(`{"workload":"q2","scale":0.02,"max_clips":3}`)
+	withField := func(body []byte, field string) json.RawMessage {
+		return json.RawMessage(strings.TrimSuffix(string(body), "}") + "," + field + "}")
+	}
+	cases := []struct {
+		name, path string
+		body       json.RawMessage
+		code       int
+	}{
+		{"topk misspelled field", "/v1/topk", withField(topk, `"hop_discount":[0.5]`), http.StatusBadRequest},
+		{"topk degraded_discount", "/v1/topk", withField(topk, `"degraded_discount":0.5`), http.StatusBadRequest},
+		{"topk valid", "/v1/topk", withField(topk, `"hop_discounts":[0.5]`), http.StatusOK},
+		{"session misspelled field", "/v1/sessions", withField(session, `"max_clip":3`), http.StatusBadRequest},
+		{"session valid", "/v1/sessions", session, http.StatusCreated},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var resp api.ErrorResponse
+			code := doJSON(t, http.MethodPost, c.coTS.URL+tc.path, tc.body, &resp)
+			if code != tc.code {
+				t.Fatalf("status %d, want %d (%+v)", code, tc.code, resp)
+			}
+			if tc.code == http.StatusBadRequest && resp.Error.Code != "bad_json" {
+				t.Errorf("error code %q, want bad_json", resp.Error.Code)
+			}
+		})
+	}
+	if n := c.tracer.Counter("shard.scatters").Value(); n != 1 {
+		t.Errorf("shard.scatters = %d, want 1 (rejected bodies must not scatter)", n)
 	}
 }
 

@@ -429,17 +429,6 @@ func (e *Engine) CriticalValues() (obj map[annot.Label]int, act int) {
 	return obj, act
 }
 
-// BackgroundP returns the current background probability of the given
-// object predicate, or of the action predicate with that label.
-func (e *Engine) BackgroundP(label annot.Label) float64 {
-	for _, kind := range []predKind{predObject, predAction} {
-		if p := e.find(kind, label); p != nil {
-			return p.trk.P()
-		}
-	}
-	return 0
-}
-
 // ProcessClip evaluates the next clip of the stream (clips must be fed
 // in order starting at 0) and returns its evaluation.
 func (e *Engine) ProcessClip(c video.ClipIdx) (ClipResult, error) {

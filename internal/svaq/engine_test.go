@@ -209,14 +209,14 @@ func TestCriticalValuesExposed(t *testing.T) {
 	if obj["car"] < 1 || act < 1 {
 		t.Fatalf("critical values = %v / %d", obj, act)
 	}
-	if p := e.BackgroundP("car"); p != 1e-3 {
-		t.Fatalf("BackgroundP(car) = %v", p)
+	if p := e.find(predObject, "car").trk.P(); p != 1e-3 {
+		t.Fatalf("background p(car) = %v", p)
 	}
-	if p := e.BackgroundP("run"); p != 1e-3 {
-		t.Fatalf("BackgroundP(run) = %v", p)
+	if p := e.find(predAction, "run").trk.P(); p != 1e-3 {
+		t.Fatalf("background p(run) = %v", p)
 	}
-	if p := e.BackgroundP("ghost"); p != 0 {
-		t.Fatalf("BackgroundP(ghost) = %v", p)
+	if e.find(predObject, "ghost") != nil {
+		t.Fatal("predicate found for an unqueried label")
 	}
 }
 

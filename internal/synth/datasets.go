@@ -103,19 +103,9 @@ func YouTubeSpec(id string, geom video.Geometry) (Spec, annot.Query, error) {
 	return Spec{}, annot.Query{}, fmt.Errorf("synth: unknown YouTube set %q", id)
 }
 
-// YouTube generates one of the paper's twelve YouTube query sets with
-// the default geometry.
-func YouTube(id string) (*QuerySet, error) {
-	return YouTubeWithGeometry(id, video.DefaultGeometry())
-}
-
-// YouTubeWithGeometry generates a YouTube set with a custom geometry.
-func YouTubeWithGeometry(id string, geom video.Geometry) (*QuerySet, error) {
-	return YouTubeScaled(id, geom, 1)
-}
-
-// YouTubeScaled generates a YouTube set at a fraction of its full
-// length with a custom geometry (used by quick test/bench modes).
+// YouTubeScaled generates one of the paper's twelve YouTube query sets
+// with the given geometry at a fraction of its full length (scale 1 is
+// the full set).
 func YouTubeScaled(id string, geom video.Geometry, scale float64) (*QuerySet, error) {
 	spec, q, err := YouTubeSpec(id, geom)
 	if err != nil {
@@ -212,13 +202,8 @@ func MovieSpec(name string) (Spec, annot.Query, error) {
 	return Spec{}, annot.Query{}, fmt.Errorf("synth: unknown movie %q", name)
 }
 
-// Movie generates one of the Table 2 movies.
-func Movie(name string) (*QuerySet, error) {
-	return MovieScaled(name, 1)
-}
-
-// MovieScaled generates a movie at a fraction of its full length (used
-// by quick test/bench modes).
+// MovieScaled generates one of the Table 2 movies at a fraction of its
+// full length (scale 1 is the full movie).
 func MovieScaled(name string, scale float64) (*QuerySet, error) {
 	spec, q, err := MovieSpec(name)
 	if err != nil {

@@ -44,7 +44,7 @@ func TestYouTubeSetsGenerate(t *testing.T) {
 }
 
 func TestYouTubeLengthMatchesTable1(t *testing.T) {
-	qs, err := YouTube("q1")
+	qs, err := YouTubeScaled("q1", video.DefaultGeometry(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestYouTubeLengthMatchesTable1(t *testing.T) {
 }
 
 func TestYouTubeUnknownID(t *testing.T) {
-	if _, err := YouTube("q99"); err == nil {
+	if _, err := YouTubeScaled("q99", video.DefaultGeometry(), 1); err == nil {
 		t.Fatal("unknown set accepted")
 	}
 }
@@ -89,13 +89,13 @@ func TestMoviesGenerate(t *testing.T) {
 }
 
 func TestMovieUnknown(t *testing.T) {
-	if _, err := Movie("inexistent_movie"); err == nil {
+	if _, err := MovieScaled("inexistent_movie", 1); err == nil {
 		t.Fatal("unknown movie accepted")
 	}
 }
 
 func TestMovieLengthMatchesTable2(t *testing.T) {
-	qs, err := Movie("titanic")
+	qs, err := MovieScaled("titanic", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,18 +247,3 @@ func StepDrift(change int, low, high float64) func(int) float64 {
 		return high
 	}
 }
-
-// CyclicDrift returns a drift profile oscillating between low and high
-// with the given period in frames (e.g. daily traffic cycles).
-func CyclicDrift(period int, low, high float64) func(int) float64 {
-	if period <= 0 {
-		period = 1
-	}
-	return func(frame int) float64 {
-		phase := frame % period
-		if phase < period/2 {
-			return low
-		}
-		return high
-	}
-}

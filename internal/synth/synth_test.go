@@ -153,13 +153,6 @@ func TestDriftProfiles(t *testing.T) {
 	if d(99) != 1 || d(100) != 5 {
 		t.Error("StepDrift boundary wrong")
 	}
-	c := CyclicDrift(100, 1, 5)
-	if c(10) != 1 || c(60) != 5 || c(110) != 1 {
-		t.Error("CyclicDrift phases wrong")
-	}
-	if CyclicDrift(0, 1, 5)(0) != 5 {
-		t.Error("CyclicDrift with period 0 should not panic")
-	}
 }
 
 func TestEpisodesRespectBounds(t *testing.T) {

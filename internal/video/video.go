@@ -59,9 +59,6 @@ func (g Geometry) Validate() error {
 // ClipLen returns the number of frames in one clip.
 func (g Geometry) ClipLen() int { return g.ShotLen * g.ShotsPerClip }
 
-// ShotOfFrame returns the shot containing frame v.
-func (g Geometry) ShotOfFrame(v FrameIdx) ShotIdx { return ShotIdx(int(v) / g.ShotLen) }
-
 // ClipOfFrame returns the clip containing frame v.
 func (g Geometry) ClipOfFrame(v FrameIdx) ClipIdx { return ClipIdx(int(v) / g.ClipLen()) }
 
@@ -78,12 +75,6 @@ func (g Geometry) FrameRangeOfClip(c ClipIdx) (lo, hi FrameIdx) {
 func (g Geometry) ShotRangeOfClip(c ClipIdx) (lo, hi ShotIdx) {
 	lo = ShotIdx(int(c) * g.ShotsPerClip)
 	return lo, lo + ShotIdx(g.ShotsPerClip)
-}
-
-// FrameRangeOfShot returns the half-open frame range [lo, hi) of shot s.
-func (g Geometry) FrameRangeOfShot(s ShotIdx) (lo, hi FrameIdx) {
-	lo = FrameIdx(int(s) * g.ShotLen)
-	return lo, lo + FrameIdx(g.ShotLen)
 }
 
 // Clips returns the number of whole clips in a video of n frames.

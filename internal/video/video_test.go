@@ -33,20 +33,16 @@ func TestIndexConversions(t *testing.T) {
 	g := Geometry{FPS: 30, ShotLen: 10, ShotsPerClip: 5}
 	cases := []struct {
 		frame FrameIdx
-		shot  ShotIdx
 		clip  ClipIdx
 	}{
-		{0, 0, 0},
-		{9, 0, 0},
-		{10, 1, 0},
-		{49, 4, 0},
-		{50, 5, 1},
-		{123, 12, 2},
+		{0, 0},
+		{9, 0},
+		{10, 0},
+		{49, 0},
+		{50, 1},
+		{123, 2},
 	}
 	for _, c := range cases {
-		if got := g.ShotOfFrame(c.frame); got != c.shot {
-			t.Errorf("ShotOfFrame(%d) = %d, want %d", c.frame, got, c.shot)
-		}
 		if got := g.ClipOfFrame(c.frame); got != c.clip {
 			t.Errorf("ClipOfFrame(%d) = %d, want %d", c.frame, got, c.clip)
 		}
@@ -65,10 +61,6 @@ func TestRanges(t *testing.T) {
 	slo, shi := g.ShotRangeOfClip(2)
 	if slo != 10 || shi != 15 {
 		t.Errorf("ShotRangeOfClip(2) = [%d,%d), want [10,15)", slo, shi)
-	}
-	flo, fhi := g.FrameRangeOfShot(3)
-	if flo != 30 || fhi != 40 {
-		t.Errorf("FrameRangeOfShot(3) = [%d,%d), want [30,40)", flo, fhi)
 	}
 }
 
@@ -109,7 +101,7 @@ func TestQuickGeometryRoundTrip(t *testing.T) {
 		if !(lo <= v && v < hi) {
 			return false
 		}
-		s := g.ShotOfFrame(v)
+		s := ShotIdx(int(v) / g.ShotLen)
 		return g.ClipOfShot(s) == c
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -472,18 +472,15 @@ type ExecOptions struct {
 	// sequential global path dispatches through the clip-id namespace
 	// and requires a densifier for every video to arm at all.
 	Densifiers map[string]Densify
-	// DegradedDiscount, in (0, 1], down-weights clips the repository
-	// marked degraded at ingest time (their model outputs came from the
-	// resilience fallback chain): each degraded clip's score is
-	// multiplied by (1 − DegradedDiscount) and matching results carry
-	// TopKResult.Degraded. 0 disables.
-	DegradedDiscount float64
-	// HopDiscounts replaces the flat DegradedDiscount with a per-hop
-	// table: entry h−1 discounts clips whose worst degraded unit was
-	// served by fallback hop h, so lightly-degraded clips keep more of
-	// their score than prior-only ones. Hops past the table clamp to
-	// the last entry; units with no recorded hop take the worst entry.
-	// Mutually exclusive with DegradedDiscount.
+	// HopDiscounts down-weights clips the repository marked degraded at
+	// ingest time (their model outputs came from the resilience fallback
+	// chain): entry h−1 is the discount d for clips whose worst degraded
+	// unit was served by fallback hop h, so lightly-degraded clips keep
+	// more of their score than prior-only ones. A degraded clip's score
+	// is multiplied by (1 − d) and matching results carry
+	// TopKResult.Degraded. Hops past the table clamp to the last entry;
+	// units with no recorded hop take the worst entry, so [d] is a flat
+	// discount. Empty disables.
 	HopDiscounts []float64
 	// Explain, when non-nil, collects the query's EXPLAIN profile
 	// (bound trajectory, pruning, cache and access attribution). Global
@@ -548,7 +545,6 @@ func NewDensifier(vd *VideoData, det ObjectDetector, rec ActionRecognizer, q Que
 func (eo ExecOptions) rvaqOptions(videoName string) rvaq.Options {
 	opts := rvaq.DefaultOptions()
 	opts.Partial = eo.Partial
-	opts.DegradedDiscount = eo.DegradedDiscount
 	opts.HopDiscounts = eo.HopDiscounts
 	opts.Densify = eo.Densifiers[videoName]
 	opts.Explain = eo.Explain
