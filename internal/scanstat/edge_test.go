@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// The k_crit edge grid: CriticalValue and TailProb over p from 1e-12 to
+// The k_crit edge grid: CriticalValue and tailProb over p from 1e-12 to
 // 1, w ∈ {5, 10, 30} and N from w to 10⁵·w, at the engine's default
-// α = 0.05. Caching k_crit over p-intervals relies on exactly these
-// properties: minimality, agreement with simulation, the conservative
-// short-stream bound, the no-solution boundary and monotonicity in p
-// and N.
+// α = 0.05. These tests pin the properties of the closed form itself:
+// minimality, agreement with simulation, the conservative short-stream
+// bound, the no-solution boundary and monotonicity in p and N. That the
+// tabulated kernel computes exactly this closed form is the oracle's job
+// (TestTailKernelBitIdentical, FuzzTailKernel in kernel_test.go).
 
 const edgeAlpha = 0.05
 
@@ -38,9 +39,9 @@ func edgeK(t *testing.T, pr Params) int {
 
 func edgeTail(t *testing.T, pr Params, k int) float64 {
 	t.Helper()
-	v, err := TailProb(pr, k)
+	v, err := tailProb(pr, k)
 	if err != nil {
-		t.Fatalf("TailProb(%+v, %d): %v", pr, k, err)
+		t.Fatalf("tailProb(%+v, %d): %v", pr, k, err)
 	}
 	return v
 }

@@ -87,12 +87,12 @@ func TestQ2Q3AgainstExactEnumeration(t *testing.T) {
 	}
 	for _, c := range cases {
 		e2 := exactScanBelow(2*c.w, c.w, c.k, c.p)
-		a2 := q2(c.k, c.w, c.p)
+		a2 := q2(c.k, newBinomTable(c.w, c.p))
 		if math.Abs(e2-a2) > 0.02 {
 			t.Errorf("w=%d k=%d p=%v: Q2 approx %.5f vs exact %.5f", c.w, c.k, c.p, a2, e2)
 		}
 		e3 := exactScanBelow(3*c.w, c.w, c.k, c.p)
-		a3 := q3(c.k, c.w, c.p)
+		a3 := q3(c.k, newBinomTable(c.w, c.p))
 		if math.Abs(e3-a3) > 0.025 {
 			t.Errorf("w=%d k=%d p=%v: Q3 approx %.5f vs exact %.5f", c.w, c.k, c.p, a3, e3)
 		}
@@ -118,14 +118,14 @@ func TestParamsValidate(t *testing.T) {
 
 func TestTailProbEdgeCases(t *testing.T) {
 	pr := Params{P: 0.1, W: 10, N: 100}
-	if got, _ := TailProb(pr, 0); got != 1 {
-		t.Errorf("TailProb(k=0) = %v, want 1", got)
+	if got, _ := tailProb(pr, 0); got != 1 {
+		t.Errorf("tailProb(k=0) = %v, want 1", got)
 	}
-	if got, _ := TailProb(Params{P: 0, W: 10, N: 100}, 1); got != 0 {
-		t.Errorf("TailProb(p=0) = %v, want 0", got)
+	if got, _ := tailProb(Params{P: 0, W: 10, N: 100}, 1); got != 0 {
+		t.Errorf("tailProb(p=0) = %v, want 0", got)
 	}
-	if _, err := TailProb(Params{P: 2, W: 10, N: 100}, 1); err == nil {
-		t.Error("TailProb with invalid params: want error")
+	if _, err := tailProb(Params{P: 2, W: 10, N: 100}, 1); err == nil {
+		t.Error("tailProb with invalid params: want error")
 	}
 }
 
@@ -133,12 +133,12 @@ func TestTailProbMonotoneInK(t *testing.T) {
 	pr := Params{P: 0.05, W: 50, N: 5000}
 	prev := 2.0
 	for k := 1; k <= 50; k++ {
-		got, err := TailProb(pr, k)
+		got, err := tailProb(pr, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got > prev+1e-12 {
-			t.Fatalf("TailProb not non-increasing at k=%d: %v > %v", k, got, prev)
+			t.Fatalf("tailProb not non-increasing at k=%d: %v > %v", k, got, prev)
 		}
 		prev = got
 	}
@@ -147,12 +147,12 @@ func TestTailProbMonotoneInK(t *testing.T) {
 func TestTailProbMonotoneInP(t *testing.T) {
 	prev := -1.0
 	for _, p := range []float64{0.001, 0.01, 0.05, 0.1, 0.2, 0.4} {
-		got, err := TailProb(Params{P: p, W: 30, N: 3000}, 8)
+		got, err := tailProb(Params{P: p, W: 30, N: 3000}, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got < prev-1e-12 {
-			t.Fatalf("TailProb not non-decreasing in p at p=%v: %v < %v", p, got, prev)
+			t.Fatalf("tailProb not non-decreasing in p at p=%v: %v < %v", p, got, prev)
 		}
 		prev = got
 	}
@@ -176,7 +176,7 @@ func TestTailProbAgainstMonteCarlo(t *testing.T) {
 		{Params{P: 0.01, W: 50, N: 5000}, 4},
 	}
 	for _, c := range cases {
-		approx, err := TailProb(c.pr, c.k)
+		approx, err := tailProb(c.pr, c.k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,14 +197,14 @@ func TestCriticalValueThresholdProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, _ := TailProb(pr, k)
+	at, _ := tailProb(pr, k)
 	if at > alpha {
-		t.Fatalf("TailProb(k_crit=%d) = %v > alpha", k, at)
+		t.Fatalf("tailProb(k_crit=%d) = %v > alpha", k, at)
 	}
 	if k > 1 {
-		below, _ := TailProb(pr, k-1)
+		below, _ := tailProb(pr, k-1)
 		if below <= alpha {
-			t.Fatalf("k_crit=%d not minimal: TailProb(k-1) = %v <= alpha", k, below)
+			t.Fatalf("k_crit=%d not minimal: tailProb(k-1) = %v <= alpha", k, below)
 		}
 	}
 }
