@@ -1,6 +1,7 @@
 // Command vaqtopk answers an offline top-k query against a repository
-// built by vaqingest, comparing RVAQ against the paper's baselines on
-// request.
+// built by vaqingest: pinned to one -video (comparing RVAQ against the
+// paper's baselines on request), or without -video ranked across every
+// video, one RVAQ run per video joined by a shared B_lo^K bound.
 //
 //	vaqtopk -dir vaq-repo -video coffee_and_cigarettes \
 //	        -action smoking -objects wine_glass,cup -k 5 -compare
@@ -9,7 +10,7 @@
 // a temporary repository in-process first — combined with -trace the
 // span tree covers the full offline path, ingestion included:
 //
-//	vaqtopk -synth coffee_and_cigarettes,iron_man -scale 0.25 -global -trace
+//	vaqtopk -synth coffee_and_cigarettes,iron_man -scale 0.25 -trace
 package main
 
 import (
@@ -45,7 +46,6 @@ func main() {
 		compareFlag  = flag.Bool("compare", false, "also run FA, RVAQ-noSkip and Pq-Traverse")
 		jsonFlag     = flag.Bool("json", false, "emit results as JSON in the server's /v1/topk response shape (skips -compare)")
 		workersFlag  = flag.Int("workers", 0, "parallel per-video executions for all-video queries (0 = GOMAXPROCS, 1 = serial)")
-		globalFlag   = flag.Bool("global", false, "rank across the merged repository namespace instead of merging per-video top-ks")
 		synthFlag    = flag.String("synth", "", "comma-separated synthetic movie names to ingest in-process into a temporary repository (skips -dir)")
 		scaleFlag    = flag.Float64("scale", 0.25, "workload scale for -synth ingestion")
 		traceFlag    = flag.Bool("trace", false, "record spans across ingestion and the query; print the tree, counters and stage quantiles at exit")
@@ -157,46 +157,21 @@ func main() {
 		}
 	}
 
+	// A pinned query's results carry no video name, as in the server's
+	// /v1/topk response for a named video.
+	var results []vaq.VideoTopKResult
+	var stats vaq.TopKStats
+	scope := "on " + *videoFlag
 	if *videoFlag == "" {
-		run := repo.TopKAllOpts
-		if *globalFlag {
-			run = repo.TopKGlobalOpts
+		scope = fmt.Sprintf("across %v", repo.Videos())
+		results, stats, err = repo.TopKGlobalOpts(q, *kFlag, eo)
+	} else {
+		var rs []vaq.TopKResult
+		rs, stats, err = repo.TopKOpts(*videoFlag, q, *kFlag, eo)
+		for _, r := range rs {
+			results = append(results, vaq.VideoTopKResult{TopKResult: r})
 		}
-		results, stats, err := run(q, *kFlag, eo)
-		if err != nil {
-			fatal(err)
-		}
-		if *jsonFlag {
-			out := server.TopKResponse{
-				Results:        []server.TopKEntry{},
-				RuntimeUS:      stats.Runtime.Microseconds(),
-				CPURuntimeUS:   stats.CPURuntime.Microseconds(),
-				RandomAccesses: stats.Accesses.Random,
-				Candidates:     stats.Candidates,
-				Incomplete:     stats.Incomplete,
-				DegradedClips:  stats.DegradedClips,
-			}
-			out.Explain = finishExplain()
-			for _, r := range results {
-				out.Results = append(out.Results, server.TopKEntry{
-					Video: r.Video, Seq: server.Range{Lo: r.Seq.Lo, Hi: r.Seq.Hi}, Score: r.Score, Degraded: r.Degraded,
-				})
-			}
-			emitJSON(out)
-			return
-		}
-		fmt.Printf("top-%d for %v across %v (wall %v, cpu %v, %d random accesses)%s%s%s:\n",
-			*kFlag, q, repo.Videos(), stats.Runtime.Round(time.Microsecond),
-			stats.CPURuntime.Round(time.Microsecond), stats.Accesses.Random,
-			incompleteMark(stats), degradedMark(stats), plannedMark(stats))
-		for i, r := range results {
-			fmt.Printf("  %2d. %-24s clips %v  score %.2f%s\n", i+1, r.Video, r.Seq, r.Score, degradedFlag(r.Degraded))
-		}
-		printExplain()
-		return
 	}
-
-	results, stats, err := repo.TopKOpts(*videoFlag, q, *kFlag, eo)
 	if err != nil {
 		fatal(err)
 	}
@@ -204,6 +179,7 @@ func main() {
 		out := server.TopKResponse{
 			Results:        []server.TopKEntry{},
 			RuntimeUS:      stats.Runtime.Microseconds(),
+			CPURuntimeUS:   stats.CPURuntime.Microseconds(),
 			RandomAccesses: stats.Accesses.Random,
 			Candidates:     stats.Candidates,
 			Incomplete:     stats.Incomplete,
@@ -212,20 +188,25 @@ func main() {
 		out.Explain = finishExplain()
 		for _, r := range results {
 			out.Results = append(out.Results, server.TopKEntry{
-				Seq: server.Range{Lo: r.Seq.Lo, Hi: r.Seq.Hi}, Score: r.Score, Degraded: r.Degraded,
+				Video: r.Video, Seq: server.Range{Lo: r.Seq.Lo, Hi: r.Seq.Hi}, Score: r.Score, Degraded: r.Degraded,
 			})
 		}
 		emitJSON(out)
 		return
 	}
-	fmt.Printf("top-%d for %v on %s (%v, %d random accesses, |Pq|=%d)%s%s%s:\n",
-		*kFlag, q, *videoFlag, stats.Runtime.Round(time.Microsecond), stats.Accesses.Random, stats.Candidates,
+	fmt.Printf("top-%d for %v %s (wall %v, cpu %v, %d random accesses, |Pq|=%d)%s%s%s:\n",
+		*kFlag, q, scope, stats.Runtime.Round(time.Microsecond),
+		stats.CPURuntime.Round(time.Microsecond), stats.Accesses.Random, stats.Candidates,
 		incompleteMark(stats), degradedMark(stats), plannedMark(stats))
 	for i, r := range results {
-		fmt.Printf("  %2d. clips %v  score %.2f%s\n", i+1, r.Seq, r.Score, degradedFlag(r.Degraded))
+		video := ""
+		if r.Video != "" {
+			video = fmt.Sprintf("%-24s ", r.Video)
+		}
+		fmt.Printf("  %2d. %sclips %v  score %.2f%s\n", i+1, video, r.Seq, r.Score, degradedFlag(r.Degraded))
 	}
 	printExplain()
-	if !*compareFlag {
+	if !*compareFlag || *videoFlag == "" {
 		return
 	}
 

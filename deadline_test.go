@@ -18,8 +18,8 @@ func TestDeadlinePartialFacade(t *testing.T) {
 	if _, _, err := repo.TopKOpts(name, q, 3, eo); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("TopKOpts without Partial: err = %v, want DeadlineExceeded", err)
 	}
-	if _, _, err := repo.TopKAllOpts(q, 3, eo); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("TopKAllOpts without Partial: err = %v, want DeadlineExceeded", err)
+	if _, _, err := repo.TopKGlobalOpts(q, 3, eo); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("TopKGlobalOpts without Partial: err = %v, want DeadlineExceeded", err)
 	}
 
 	eo.Partial = true
@@ -34,15 +34,7 @@ func TestDeadlinePartialFacade(t *testing.T) {
 		t.Fatalf("instant deadline produced %d results", len(res))
 	}
 
-	all, astats, err := repo.TopKAllOpts(q, 3, eo)
-	if err != nil {
-		t.Fatalf("TopKAllOpts with Partial errored: %v", err)
-	}
-	if !astats.Incomplete || len(all) != 0 {
-		t.Fatalf("TopKAllOpts with Partial: incomplete=%v results=%d", astats.Incomplete, len(all))
-	}
-
-	for _, workers := range []int{1, 4} { // merged and sharded global paths
+	for _, workers := range []int{1, 4} {
 		geo := eo
 		geo.Workers = workers
 		gres, gstats, err := repo.TopKGlobalOpts(q, 3, geo)
@@ -60,14 +52,14 @@ func TestDeadlinePartialFacade(t *testing.T) {
 // Incomplete.
 func TestGenerousDeadlineComplete(t *testing.T) {
 	repo, q := multiRepo(t, 2, 0.05)
-	base, bstats, err := repo.TopKAll(q, 3)
+	base, bstats, err := repo.TopKGlobalOpts(q, 3, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bstats.Incomplete {
 		t.Fatal("baseline run marked Incomplete")
 	}
-	got, gstats, err := repo.TopKAllOpts(q, 3, ExecOptions{Deadline: time.Hour, Partial: true})
+	got, gstats, err := repo.TopKGlobalOpts(q, 3, ExecOptions{Deadline: time.Hour, Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

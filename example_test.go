@@ -106,9 +106,9 @@ func ExampleWithSharedInference() {
 	// backend calls added by second run: 0
 }
 
-// ExampleRepository_TopK ingests a video and answers an offline top-k
-// query with RVAQ.
-func ExampleRepository_TopK() {
+// ExampleTopKVideo ingests a video and answers an offline top-k query
+// with RVAQ, straight from the in-memory metadata (no repository).
+func ExampleTopKVideo() {
 	scene, _, _ := exampleScene()
 	det := detect.NewSimObjectDetector(scene, detect.IdealObject, nil)
 	rec := detect.NewSimActionRecognizer(scene, detect.IdealAction, nil)
@@ -117,19 +117,11 @@ func ExampleRepository_TopK() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, _, err := (&inMemoryRepo{vd: vd}).topK(
-		vaq.Query{Action: "loading", Objects: []vaq.Label{"truck"}}, 1)
+	results, _, err := vaq.TopKVideo(vd, vaq.Query{Action: "loading", Objects: []vaq.Label{"truck"}}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("best sequence: clips %d..%d\n", results[0].Seq.Lo, results[0].Seq.Hi)
 	// Output:
 	// best sequence: clips 10..19
-}
-
-// inMemoryRepo keeps the example free of filesystem side effects.
-type inMemoryRepo struct{ vd *vaq.VideoData }
-
-func (r *inMemoryRepo) topK(q vaq.Query, k int) ([]vaq.TopKResult, vaq.TopKStats, error) {
-	return vaq.TopKVideo(r.vd, q, k)
 }

@@ -87,7 +87,7 @@ func main() {
 }
 
 func printTopK(repo *vaq.Repository, movie string, q vaq.Query, k int) {
-	results, stats, err := repo.TopK(movie, q, k)
+	results, stats, err := repo.TopKOpts(movie, q, k, vaq.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

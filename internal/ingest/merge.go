@@ -14,7 +14,9 @@ import (
 // namespacing: it combines several ingested videos into one VideoData
 // whose clip identifiers are offset per video, so the offline algorithms
 // (RVAQ and the baselines) run once across the whole repository and
-// rank sequences globally.
+// rank sequences globally. The repository's global top-k gets the same
+// ranking from one run per video with a shared bound and is tested
+// against this formulation.
 
 // ClipSpan records where one video's clips live in a merged namespace.
 type ClipSpan struct {

@@ -709,60 +709,47 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		// RequestTimeout context, so it can only shorten it.
 		eo.Deadline = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	resp := TopKResponse{Results: []TopKEntry{}}
+	// A pinned query's results carry no video name.
+	var results []vaq.VideoTopKResult
+	var stats vaq.TopKStats
+	var err error
 	if req.Video != "" {
-		results, stats, err := s.cfg.Repo.TopKOpts(req.Video, q, k, eo)
-		if err != nil {
-			switch {
-			case errors.Is(err, ingest.ErrNotIngested):
-				writeErr(w, http.StatusBadRequest, "unknown_label", err.Error(), nil)
-			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				writeCtxErr(w, err)
-			default:
-				writeErr(w, http.StatusNotFound, "unknown_video", err.Error(), nil)
-			}
-			return
+		var rs []vaq.TopKResult
+		rs, stats, err = s.cfg.Repo.TopKOpts(req.Video, q, k, eo)
+		for _, r := range rs {
+			results = append(results, vaq.VideoTopKResult{TopKResult: r})
 		}
-		for _, res := range results {
-			resp.Results = append(resp.Results, TopKEntry{
-				Seq: Range{Lo: res.Seq.Lo, Hi: res.Seq.Hi}, Score: res.Score, Degraded: res.Degraded,
-			})
-		}
-		resp.RuntimeUS = stats.Runtime.Microseconds()
-		resp.CPURuntimeUS = stats.CPURuntime.Microseconds()
-		resp.RandomAccesses = stats.Accesses.Random
-		resp.Candidates = stats.Candidates
-		resp.Incomplete = stats.Incomplete
-		resp.DegradedClips = stats.DegradedClips
-		s.met.observeCPU("POST /v1/topk", cpuOrWall(stats))
 	} else {
-		results, stats, err := s.cfg.Repo.TopKGlobalOpts(q, k, eo)
-		if err != nil {
-			switch {
-			case errors.Is(err, ingest.ErrNotIngested):
-				writeErr(w, http.StatusBadRequest, "unknown_label", err.Error(), nil)
-			case errors.Is(err, vaq.ErrVideoNotFound):
-				writeErr(w, http.StatusNotFound, "unknown_video", err.Error(), nil)
-			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				writeCtxErr(w, err)
-			default:
-				writeErr(w, http.StatusInternalServerError, "topk_failed", err.Error(), nil)
-			}
-			return
-		}
-		for _, res := range results {
-			resp.Results = append(resp.Results, TopKEntry{
-				Video: res.Video, Seq: Range{Lo: res.Seq.Lo, Hi: res.Seq.Hi}, Score: res.Score, Degraded: res.Degraded,
-			})
-		}
-		resp.RuntimeUS = stats.Runtime.Microseconds()
-		resp.CPURuntimeUS = stats.CPURuntime.Microseconds()
-		resp.RandomAccesses = stats.Accesses.Random
-		resp.Candidates = stats.Candidates
-		resp.Incomplete = stats.Incomplete
-		resp.DegradedClips = stats.DegradedClips
-		s.met.observeCPU("POST /v1/topk", cpuOrWall(stats))
+		results, stats, err = s.cfg.Repo.TopKGlobalOpts(q, k, eo)
 	}
+	if err != nil {
+		switch {
+		case errors.Is(err, ingest.ErrNotIngested):
+			writeErr(w, http.StatusBadRequest, "unknown_label", err.Error(), nil)
+		case errors.Is(err, vaq.ErrVideoNotFound):
+			writeErr(w, http.StatusNotFound, "unknown_video", err.Error(), nil)
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+			writeCtxErr(w, err)
+		default:
+			writeErr(w, http.StatusInternalServerError, "topk_failed", err.Error(), nil)
+		}
+		return
+	}
+	resp := TopKResponse{
+		Results:        make([]TopKEntry, 0, len(results)),
+		RuntimeUS:      stats.Runtime.Microseconds(),
+		CPURuntimeUS:   stats.CPURuntime.Microseconds(),
+		RandomAccesses: stats.Accesses.Random,
+		Candidates:     stats.Candidates,
+		Incomplete:     stats.Incomplete,
+		DegradedClips:  stats.DegradedClips,
+	}
+	for _, res := range results {
+		resp.Results = append(resp.Results, TopKEntry{
+			Video: res.Video, Seq: Range{Lo: res.Seq.Lo, Hi: res.Seq.Hi}, Score: res.Score, Degraded: res.Degraded,
+		})
+	}
+	s.met.observeCPU("POST /v1/topk", cpuOrWall(stats))
 	if ex != nil {
 		ex.SetDurUS(time.Since(qstart).Microseconds())
 		s.ring.Add(ex.Profile())

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -215,7 +217,13 @@ func TestDisjunctiveSessionCriticalValues(t *testing.T) {
 // cross-repository (merged) queries find every label in every video.
 func buildRepo(t testing.TB) *vaq.Repository {
 	t.Helper()
-	repo, err := vaq.OpenRepository(t.TempDir())
+	return buildRepoIn(t, t.TempDir())
+}
+
+// buildRepoIn ingests the buildRepo videos into dir.
+func buildRepoIn(t testing.TB, dir string) *vaq.Repository {
+	t.Helper()
+	repo, err := vaq.OpenRepository(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,6 +500,31 @@ func TestTopKUnknownLabel(t *testing.T) {
 			TopKRequest{Video: video, Action: "smoking", Objects: []string{"car"}, K: 3}, &resp)
 		if code != http.StatusBadRequest || resp.Error.Code != "unknown_label" {
 			t.Errorf("video %q: status %d, error %+v; want 400 unknown_label", video, code, resp.Error)
+		}
+	}
+}
+
+// TestTopKTableReadFailure: a table file that breaks after the
+// repository opened is a server fault, not a client error, so both
+// routes answer 500 topk_failed — the pinned one must not call it an
+// unknown video.
+func TestTopKTableReadFailure(t *testing.T) {
+	dir := t.TempDir()
+	buildRepoIn(t, dir)
+	repo, err := vaq.OpenRepository(dir) // file-backed tables
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, "q2", "act_blowing_leaves.tbl"), 0); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startServer(t, Config{Repo: repo})
+	for _, video := range []string{"q2", ""} {
+		var resp ErrorResponse
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/topk",
+			TopKRequest{Video: video, Action: "blowing_leaves", Objects: []string{"car"}, K: 3}, &resp)
+		if code != http.StatusInternalServerError || resp.Error.Code != "topk_failed" {
+			t.Errorf("video %q: status %d, error %+v; want 500 topk_failed", video, code, resp.Error)
 		}
 	}
 }

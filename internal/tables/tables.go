@@ -19,6 +19,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"sync"
 )
 
 // Row is one entry of a clip score table.
@@ -194,17 +195,22 @@ func decodeRow(b []byte) Row {
 }
 
 // FileTable serves a table file, reading each accessed row from disk.
+// It is safe for concurrent use.
 type FileTable struct {
-	f         *os.File
-	label     string
-	n         int
-	scoreOff  int64 // offset of the score-sorted region
-	cidOff    int64 // offset of the cid-sorted region
+	f        *os.File
+	label    string
+	n        int
+	scoreOff int64 // offset of the score-sorted region
+	cidOff   int64 // offset of the cid-sorted region
+
+	indexOnce sync.Once // guards the lazy cid-index load
 	cidIndex  []int32
-	indexOnce bool
+	indexErr  error
 }
 
-// OpenFile opens a table file for query-time access.
+// OpenFile opens a table file for query-time access. The header must
+// describe the file exactly: a label length or row count that does not
+// add up to the file's size is rejected here, before any row is read.
 func OpenFile(path string) (*FileTable, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -223,19 +229,35 @@ func OpenFile(path string) (*FileTable, error) {
 		f.Close()
 		return nil, fmt.Errorf("tables: %s has unsupported version %d", path, v)
 	}
-	labelLen := int(binary.LittleEndian.Uint32(head[8:]))
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("tables: stat %s: %w", path, err)
+	}
+	// Every quantity stays in uint64 and is checked against the size
+	// before it is multiplied, so no header can overflow the arithmetic.
+	size := uint64(st.Size())
+	labelLen := uint64(binary.LittleEndian.Uint32(head[8:]))
+	if size < 20+labelLen {
+		f.Close()
+		return nil, fmt.Errorf("tables: %s: label length %d exceeds the file", path, labelLen)
+	}
 	rest := make([]byte, labelLen+8)
 	if _, err := f.ReadAt(rest, 12); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("tables: read label of %s: %w", path, err)
 	}
 	label := string(rest[:labelLen])
-	n := int(binary.LittleEndian.Uint64(rest[labelLen:]))
-	scoreOff := int64(12 + labelLen + 8)
+	n := binary.LittleEndian.Uint64(rest[labelLen:])
+	if body := size - 20 - labelLen; body%(2*rowSize) != 0 || body/(2*rowSize) != n {
+		f.Close()
+		return nil, fmt.Errorf("tables: %s: header claims %d rows but the file holds %d bytes of rows", path, n, body)
+	}
+	scoreOff := int64(20 + labelLen)
 	return &FileTable{
 		f:        f,
 		label:    label,
-		n:        n,
+		n:        int(n),
 		scoreOff: scoreOff,
 		cidOff:   scoreOff + int64(n)*rowSize,
 	}, nil
@@ -287,10 +309,8 @@ func (t *FileTable) RandomGet(cid int32, c *AccessCounter) (float64, bool, error
 	if c != nil {
 		c.Random++
 	}
-	if !t.indexOnce {
-		if err := t.loadIndex(); err != nil {
-			return 0, false, err
-		}
+	if t.indexOnce.Do(t.loadIndex); t.indexErr != nil {
+		return 0, false, t.indexErr
 	}
 	i := sort.Search(len(t.cidIndex), func(i int) bool { return t.cidIndex[i] >= cid })
 	if i >= len(t.cidIndex) || t.cidIndex[i] != cid {
@@ -303,15 +323,15 @@ func (t *FileTable) RandomGet(cid int32, c *AccessCounter) (float64, bool, error
 	return r.Score, true, nil
 }
 
-func (t *FileTable) loadIndex() error {
+// loadIndex reads the cid column once; a failure sticks in indexErr.
+func (t *FileTable) loadIndex() {
 	buf := make([]byte, t.n*rowSize)
 	if _, err := t.f.ReadAt(buf, t.cidOff); err != nil {
-		return fmt.Errorf("tables: load cid index: %w", err)
+		t.indexErr = fmt.Errorf("tables: load cid index: %w", err)
+		return
 	}
 	t.cidIndex = make([]int32, t.n)
 	for i := 0; i < t.n; i++ {
 		t.cidIndex[i] = int32(binary.LittleEndian.Uint32(buf[i*rowSize:]))
 	}
-	t.indexOnce = true
-	return nil
 }

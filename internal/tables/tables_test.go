@@ -1,9 +1,11 @@
 package tables
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -190,6 +192,87 @@ func TestOpenFileErrors(t *testing.T) {
 	if _, err := OpenFile(bad); err == nil {
 		t.Error("garbage file accepted")
 	}
+}
+
+// TestOpenFileRejectsCorruptHeader: a header whose label length or row
+// count does not add up to the file size fails to open, instead of
+// panicking or exhausting memory on the first random access.
+func TestOpenFileRejectsCorruptHeader(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "car.tbl")
+	if err := WriteFile(good, "car", sampleRows()); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const countOff = 12 + len("car") // the u64 row count follows the label
+	withCount := func(n uint64) []byte {
+		b := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(b[countOff:], n)
+		return b
+	}
+	withLabelLen := func(l uint32) []byte {
+		b := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(b[8:], l)
+		return b
+	}
+	cases := map[string][]byte{
+		"high-bit row count":       withCount(1<<63 | 4),
+		"row count 2^40":           withCount(1 << 40),
+		"row count beyond file":    withCount(5),
+		"label length beyond file": withLabelLen(1000),
+		"one byte short":           raw[:len(raw)-1],
+		"trailing byte":            append(append([]byte(nil), raw...), 0),
+	}
+	for name, data := range cases {
+		path := filepath.Join(dir, "corrupt.tbl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if ft, err := OpenFile(path); err == nil {
+			ft.Close()
+			t.Errorf("%s: opened", name)
+		}
+	}
+}
+
+// TestFileTableConcurrentRandomGet: concurrent queries share one
+// re-opened table, so the lazy cid-index load must be race-free (run
+// under -race) and every reader must see the MemTable's answers.
+func TestFileTableConcurrentRandomGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rows := make([]Row, 300)
+	for i := range rows {
+		rows[i] = Row{CID: int32(2 * i), Score: float64(rng.Intn(40))}
+	}
+	path := filepath.Join(t.TempDir(), "t.tbl")
+	if err := WriteFile(path, "x", rows); err != nil {
+		t.Fatal(err)
+	}
+	ft, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ft.Close()
+	mt := NewMemTable("x", rows)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for cid := int32(0); cid < 2*int32(len(rows)); cid++ {
+				sm, okm, _ := mt.RandomGet(cid, nil)
+				sf, okf, err := ft.RandomGet(cid, nil)
+				if err != nil || sm != sf || okm != okf {
+					t.Errorf("RandomGet(%d): file %v,%v,%v vs mem %v,%v", cid, sf, okf, err, sm, okm)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestEmptyTable(t *testing.T) {

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"vaq/internal/detect"
+	"vaq/internal/ingest"
 	"vaq/internal/interval"
+	"vaq/internal/rvaq"
 	"vaq/internal/synth"
 )
 
@@ -65,13 +67,76 @@ func sameResults(tb testing.TB, label string, want, got []VideoTopKResult, tol f
 	}
 }
 
-// TestTopKAllParallelMatchesSequential asserts the fan-out path is a
-// pure performance change: per-video runs are independent, so any
-// worker count must reproduce the 1-worker ranking bit for bit.
+// mergedOracle is the paper's namespaced formulation of a
+// repository-wide query (§4.2): every video merged into one clip-id
+// namespace by ingest.Merge, one RVAQ run over it, and each result
+// mapped back to its video. TopKGlobalOpts must reproduce its ranking.
+func mergedOracle(tb testing.TB, repo *Repository, q Query, k int) []VideoTopKResult {
+	tb.Helper()
+	names := repo.Videos()
+	videos, err := repo.videos(names)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	merged, err := ingest.Merge(videos, names)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, _, err := rvaq.TopKCtx(context.Background(), merged.VideoData, q, k, rvaq.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make([]VideoTopKResult, 0, len(res))
+	for _, sr := range res {
+		name, local, ok := merged.LocateSeq(sr.Seq)
+		if !ok {
+			tb.Fatalf("oracle result %v outside every video span", sr.Seq)
+		}
+		out = append(out, VideoTopKResult{Video: name, TopKResult: TopKResult{Seq: local, Score: sr.Score, Degraded: sr.Degraded}})
+	}
+	return out
+}
+
+// matchesMergedOracle runs the global query at several fan-out widths
+// and on a shared pool (the daemon's configuration) and checks every
+// run against the merged-namespace oracle. The per-video iterators
+// exchange B_lo^K, which only prunes sequences whose upper bound lies
+// strictly below a proven global lower bound, so the rankings coincide
+// at any width.
+func matchesMergedOracle(t *testing.T, repo *Repository, q Query, k int) {
+	t.Helper()
+	want := mergedOracle(t, repo, q, k)
+	if len(want) == 0 {
+		t.Fatalf("k=%d: oracle has no results", k)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got, stats, err := repo.TopKGlobalOpts(q, k, ExecOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, fmt.Sprintf("k=%d workers=%d", k, workers), want, got, 1e-9)
+		if stats.Candidates == 0 {
+			t.Fatalf("k=%d workers=%d: empty stats %+v", k, workers, stats)
+		}
+	}
+	p := NewWorkerPool(3)
+	pooled, _, err := repo.TopKGlobalOpts(q, k, ExecOptions{Pool: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, fmt.Sprintf("k=%d pooled", k), want, pooled, 1e-9)
+	if p.InUse() != 0 {
+		t.Fatalf("k=%d: %d pool slots leaked", k, p.InUse())
+	}
+}
+
+// TestTopKAllParallelMatchesSequential asserts the fan-out width is a
+// pure performance choice for a repository-wide query: any worker count,
+// and a shared pool, reproduce the 1-worker ranking bit for bit.
 func TestTopKAllParallelMatchesSequential(t *testing.T) {
 	repo, q := multiRepo(t, 3, 0.12)
 	for _, k := range []int{1, 4, 9} {
-		seq, seqStats, err := repo.TopKAllOpts(q, k, ExecOptions{Workers: 1})
+		seq, seqStats, err := repo.TopKGlobalOpts(q, k, ExecOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +144,7 @@ func TestTopKAllParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("k=%d: no sequential results", k)
 		}
 		for _, workers := range []int{2, 4} {
-			par, parStats, err := repo.TopKAllOpts(q, k, ExecOptions{Workers: workers})
+			par, parStats, err := repo.TopKGlobalOpts(q, k, ExecOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,9 +153,8 @@ func TestTopKAllParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("k=%d workers=%d: %d candidates, want %d", k, workers, par, seqStats.Candidates)
 			}
 		}
-		// A shared pool (the daemon's configuration) changes nothing.
 		p := NewWorkerPool(3)
-		pooled, _, err := repo.TopKAllOpts(q, k, ExecOptions{Pool: p})
+		pooled, _, err := repo.TopKGlobalOpts(q, k, ExecOptions{Pool: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,10 +165,19 @@ func TestTopKAllParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTopKAllMoviesParallelMatchesSequential repeats the identity check
-// on the Table 2 movie workloads: two movies ingested with a shared
-// label universe, queried with the first movie's query.
-func TestTopKAllMoviesParallelMatchesSequential(t *testing.T) {
+// TestTopKGlobalShardedMatchesMerged pits the per-video fan-out against
+// the merged-namespace oracle at k in {1, 4, 9}.
+func TestTopKGlobalShardedMatchesMerged(t *testing.T) {
+	repo, q := multiRepo(t, 3, 0.12)
+	for _, k := range []int{1, 4, 9} {
+		matchesMergedOracle(t, repo, q, k)
+	}
+}
+
+// TestTopKGlobalMoviesMatchesMergedOracle repeats the oracle check on
+// the Table 2 movie workloads: two movies ingested with a shared label
+// universe, queried with the first movie's query.
+func TestTopKGlobalMoviesMatchesMergedOracle(t *testing.T) {
 	repo, err := OpenRepository(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -132,27 +205,51 @@ func TestTopKAllMoviesParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seq, _, err := repo.TopKAllOpts(q, 5, ExecOptions{Workers: 1})
+	matchesMergedOracle(t, repo, q, 5)
+}
+
+// TestTopKGlobalMissingLabel: a video that never ingested the queried
+// action contributes no candidates — its span would be empty in the
+// merged namespace — so the query ranks the other videos. Only when no
+// video has the action does it fail, with ErrNotIngested.
+func TestTopKGlobalMissingLabel(t *testing.T) {
+	repo, q := multiRepo(t, 2, 0.08)
+	qs, err := synth.YouTubeScaled("q4", DefaultGeometry(), 0.08)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) == 0 {
-		t.Fatal("no sequential results")
+	scene := qs.World.Scene()
+	det := detect.NewSimObjectDetector(scene, detect.MaskRCNN, nil)
+	rec := detect.NewSimActionRecognizer(scene, detect.I3D, nil)
+	truth := qs.World.Truth
+	var acts []Label
+	for _, a := range truth.ActionLabels() {
+		if a != q.Action {
+			acts = append(acts, a)
+		}
 	}
-	par, _, err := repo.TopKAllOpts(q, 5, ExecOptions{Workers: 4})
+	vd, err := IngestVideo(det, rec, truth.Meta, dedupLabels(append(truth.ObjectLabels(), q.Objects...)), acts, IngestConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, "movies", seq, par, 0)
-	merged, _, err := repo.TopKGlobalOpts(q, 5, ExecOptions{Workers: 1})
-	if err != nil {
+	if err := repo.Add("v-no-action", vd); err != nil {
 		t.Fatal(err)
 	}
-	sharded, _, err := repo.TopKGlobalOpts(q, 5, ExecOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	want := mergedOracle(t, repo, q, 5)
+	if len(want) == 0 {
+		t.Fatal("oracle has no results")
 	}
-	sameResults(t, "movies-global", merged, sharded, 1e-9)
+	for _, workers := range []int{1, 4} {
+		got, _, err := repo.TopKGlobalOpts(q, 5, ExecOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		sameResults(t, fmt.Sprintf("workers=%d", workers), want, got, 1e-9)
+		none := Query{Action: "smoking", Objects: q.Objects}
+		if _, _, err := repo.TopKGlobalOpts(none, 5, ExecOptions{Workers: workers}); !errors.Is(err, ingest.ErrNotIngested) {
+			t.Fatalf("workers=%d: action no video has: err = %v, want ErrNotIngested", workers, err)
+		}
+	}
 }
 
 func dedupLabels(ls []Label) []Label {
@@ -167,44 +264,16 @@ func dedupLabels(ls []Label) []Label {
 	return out
 }
 
-// TestTopKGlobalShardedMatchesMerged pits the parallel sharded path
-// (per-video iterators exchanging B_lo^K) against the sequential
-// merged-namespace reference. The exchange only prunes sequences whose
-// upper bound lies strictly below a proven global lower bound, so the
-// rankings must coincide.
-func TestTopKGlobalShardedMatchesMerged(t *testing.T) {
-	repo, q := multiRepo(t, 3, 0.12)
-	for _, k := range []int{1, 4, 9} {
-		merged, mergedStats, err := repo.TopKGlobalOpts(q, k, ExecOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(merged) == 0 {
-			t.Fatalf("k=%d: no merged results", k)
-		}
-		sharded, shardedStats, err := repo.TopKGlobalOpts(q, k, ExecOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, fmt.Sprintf("k=%d", k), merged, sharded, 1e-9)
-		if mergedStats.Candidates == 0 || shardedStats.Candidates == 0 {
-			t.Fatalf("k=%d: empty stats %+v %+v", k, mergedStats, shardedStats)
-		}
-	}
-}
-
 // TestTopKGlobalStaleNames is the regression test for the discarded
 // Video() ok: a names snapshot can go stale when a concurrent Remove
-// wins the race, and both global paths must fail with ErrVideoNotFound
-// instead of handing a nil *VideoData to the merge layer.
+// wins the race, and the lookup the fan-out runs on its snapshot must
+// fail with ErrVideoNotFound instead of handing a nil *VideoData to
+// RVAQ.
 func TestTopKGlobalStaleNames(t *testing.T) {
 	repo, q := multiRepo(t, 2, 0.05)
 	stale := append(repo.Videos(), "zz-removed")
-	if _, _, err := repo.topKGlobalMerged(stale, q, 3, ExecOptions{}); !errors.Is(err, ErrVideoNotFound) {
-		t.Fatalf("merged path with stale names: err = %v, want ErrVideoNotFound", err)
-	}
-	if _, _, err := repo.topKGlobalSharded(stale, q, 3, ExecOptions{Workers: 4}); !errors.Is(err, ErrVideoNotFound) {
-		t.Fatalf("sharded path with stale names: err = %v, want ErrVideoNotFound", err)
+	if _, err := repo.videos(stale); !errors.Is(err, ErrVideoNotFound) {
+		t.Fatalf("fan-out lookup with stale names: err = %v, want ErrVideoNotFound", err)
 	}
 	if _, _, err := repo.TopKOpts("zz-removed", q, 3, ExecOptions{}); !errors.Is(err, ErrVideoNotFound) {
 		t.Fatalf("TopKOpts on unknown video: err = %v, want ErrVideoNotFound", err)
@@ -239,29 +308,28 @@ func TestSortVideoResultsDeterministic(t *testing.T) {
 	}
 }
 
-// TestTopKCancellation: a cancelled context aborts the fan-out paths
+// TestTopKCancellation: a cancelled context aborts both entry points
 // between iterations.
 func TestTopKCancellation(t *testing.T) {
 	repo, q := multiRepo(t, 2, 0.05)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := repo.TopKAllOpts(q, 3, ExecOptions{Ctx: ctx, Workers: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TopKAllOpts: err = %v, want context.Canceled", err)
-	}
-	if _, _, err := repo.TopKGlobalOpts(q, 3, ExecOptions{Ctx: ctx, Workers: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TopKGlobalOpts: err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 2} {
+		if _, _, err := repo.TopKGlobalOpts(q, 3, ExecOptions{Ctx: ctx, Workers: workers}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("TopKGlobalOpts(workers=%d): err = %v, want context.Canceled", workers, err)
+		}
 	}
 	if _, _, err := repo.TopKOpts(repo.Videos()[0], q, 3, ExecOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("TopKOpts: err = %v, want context.Canceled", err)
 	}
 }
 
-// TestTopKAllStatsClocks: the aggregate stats separate the wall clock
-// of the parallel region (Runtime) from the summed per-video runtimes
+// TestTopKGlobalStatsClocks: the aggregate stats separate the wall
+// clock of the fan-out (Runtime) from the summed per-video runtimes
 // (CPURuntime); their ratio is the effective speedup.
-func TestTopKAllStatsClocks(t *testing.T) {
+func TestTopKGlobalStatsClocks(t *testing.T) {
 	repo, q := multiRepo(t, 3, 0.08)
-	_, stats, err := repo.TopKAllOpts(q, 5, ExecOptions{Workers: 2})
+	_, stats, err := repo.TopKGlobalOpts(q, 5, ExecOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,29 +338,13 @@ func TestTopKAllStatsClocks(t *testing.T) {
 	}
 }
 
-// BenchmarkTopKAllWorkers sweeps the repository fan-out; on a
-// multi-core machine the ns/op ratio between workers=1 and workers=4 is
-// the offline speedup (the CI bench smoke step compiles and runs it
+// BenchmarkTopKGlobalWorkers sweeps the repository fan-out width; on
+// a multi-core machine the ns/op ratio between workers=1 and workers=4
+// is the offline speedup (the CI bench smoke step compiles and runs it
 // once per configuration).
-func BenchmarkTopKAllWorkers(b *testing.B) {
-	repo, q := multiRepo(b, 4, 0.25)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := repo.TopKAllOpts(q, 5, ExecOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTopKGlobalWorkers compares the merged-namespace sequential
-// run against the sharded parallel run with the cross-shard bound
-// exchange.
 func BenchmarkTopKGlobalWorkers(b *testing.B) {
 	repo, q := multiRepo(b, 4, 0.25)
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := repo.TopKGlobalOpts(q, 5, ExecOptions{Workers: workers}); err != nil {

@@ -159,7 +159,7 @@ func TestTraceGlobalTopKSharded(t *testing.T) {
 		}
 	}
 
-	// The sharded run records a mode=sharded topk.global span.
+	// The fan-out records one topk.global span over all four videos.
 	found := false
 	for _, root := range tr.Trees() {
 		root.Walk(func(n *trace.Node) {
@@ -167,14 +167,14 @@ func TestTraceGlobalTopKSharded(t *testing.T) {
 				return
 			}
 			for _, a := range n.Attrs {
-				if a.Key == "mode" && a.Value == "sharded" {
+				if a.Key == "videos" && a.Value == "4" {
 					found = true
 				}
 			}
 		})
 	}
 	if !found {
-		t.Error("no topk.global span with mode=sharded")
+		t.Error("no topk.global span with videos=4")
 	}
 
 	// The varz exposition must carry every counter the JSON snapshot

@@ -21,7 +21,7 @@
 // and an offline one:
 //
 //	repo, _ := vaq.OpenRepository(dir)
-//	results, stats, _ := repo.TopK("movie", query, 5)
+//	results, stats, _ := repo.TopKOpts("movie", query, 5, vaq.ExecOptions{})
 //
 // Detection models plug in through the ObjectDetector / ActionRecognizer
 // interfaces; the repository ships calibrated simulated models (see
@@ -446,8 +446,9 @@ type ExecOptions struct {
 	// Ctx cancels the query between algorithm iterations; nil means
 	// context.Background().
 	Ctx context.Context
-	// Workers bounds the fan-out when Pool is nil: 0 picks
-	// runtime.GOMAXPROCS(0); 1 runs sequentially.
+	// Workers bounds how many per-video executions run at once when
+	// Pool is nil: 0 picks runtime.GOMAXPROCS(0), 1 runs them one at a
+	// time. It sets the fan-out width only, never the algorithm.
 	Workers int
 	// Pool, when non-nil, draws worker slots from a shared semaphore
 	// instead of a private one, so offline queries compete with other
@@ -468,9 +469,7 @@ type ExecOptions struct {
 	// video name, each recomputes one clip's exact score from the source
 	// video (see NewDensifier). With a video's densifier present its
 	// top-k results are exact; without one, planned runs return sound
-	// lower-bound rankings with TopKStats.Bounded set. The merged
-	// sequential global path dispatches through the clip-id namespace
-	// and requires a densifier for every video to arm at all.
+	// lower-bound rankings with TopKStats.Bounded set.
 	Densifiers map[string]Densify
 	// HopDiscounts down-weights clips the repository marked degraded at
 	// ingest time (their model outputs came from the resilience fallback
@@ -493,9 +492,9 @@ type ExecOptions struct {
 	// with its Bound(), which a coordinator may have raised from remote
 	// shards' progress via BoundExchange.Raise. Bounds only travel
 	// through the exchange conservatively, so results are identical
-	// with or without it. The parallel global path uses the exchange
-	// directly as its cross-video bound (instead of a private one); the
-	// merged and single-video paths join it as one shard.
+	// with or without it. TopKGlobalOpts uses the exchange directly as
+	// its cross-video bound (instead of a private one); TopKOpts joins
+	// it as one shard.
 	Bound *BoundExchange
 }
 
@@ -548,8 +547,8 @@ func (eo ExecOptions) rvaqOptions(videoName string) rvaq.Options {
 	opts.HopDiscounts = eo.HopDiscounts
 	opts.Densify = eo.Densifiers[videoName]
 	opts.Explain = eo.Explain
-	// An external exchange joins this execution as shard 0; the
-	// parallel global path overrides both fields per video.
+	// An external exchange joins this execution as shard 0;
+	// TopKGlobalOpts overrides both fields per video.
 	opts.Bound = eo.Bound
 	return opts
 }
@@ -584,13 +583,8 @@ func (eo ExecOptions) pool() *WorkerPool {
 	return pool.New(eo.workers())
 }
 
-// TopK runs RVAQ against one video of the repository.
-func (r *Repository) TopK(videoName string, q Query, k int) ([]TopKResult, TopKStats, error) {
-	return r.TopKOpts(videoName, q, k, ExecOptions{})
-}
-
-// TopKOpts is TopK under an execution context: the run holds one slot
-// of the worker pool (if any) and honours cancellation.
+// TopKOpts runs RVAQ against one video of the repository: the run
+// holds one slot of the worker pool (if any) and honours cancellation.
 func (r *Repository) TopKOpts(videoName string, q Query, k int, eo ExecOptions) ([]TopKResult, TopKStats, error) {
 	vd, ok := r.repo.Video(videoName)
 	if !ok {
@@ -613,49 +607,40 @@ func (r *Repository) TopKOpts(videoName string, q Query, k int, eo ExecOptions) 
 	return res, stats, err
 }
 
+// videos resolves a names snapshot to the videos' metadata. A name can
+// go stale when a concurrent Remove wins the race after the snapshot;
+// that is ErrVideoNotFound, never a nil *VideoData handed to RVAQ.
+func (r *Repository) videos(names []string) ([]*ingest.VideoData, error) {
+	out := make([]*ingest.VideoData, len(names))
+	for i, n := range names {
+		vd, ok := r.repo.Video(n)
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrVideoNotFound, n)
+		}
+		out[i] = vd
+	}
+	return out, nil
+}
+
 // VideoTopKResult tags a result with its video.
 type VideoTopKResult struct {
 	Video string
 	TopKResult
 }
 
-// mergedDensifier maps merged clip ids back to (video, local clip) and
-// dispatches to that video's densifier. It arms only when every video
-// has one — with a partial map some clips would complete exactly and
-// others not, which the finishing pass cannot distinguish.
-func mergedDensifier(m *ingest.Merged, ds map[string]Densify) Densify {
-	if len(ds) == 0 {
-		return nil
-	}
-	for _, s := range m.Spans {
-		if ds[s.Name] == nil {
-			return nil
-		}
-	}
-	return func(cid int32) (float64, error) {
-		name, local, ok := m.Locate(int(cid))
-		if !ok {
-			return 0, nil // gap clip between videos: absent everywhere
-		}
-		return ds[name](int32(local))
-	}
-}
-
-// TopKGlobal ranks result sequences across the whole repository (§4.2:
-// "associating a video identifier to each clip identifier") and maps
-// them back to (video, local range). It is TopKGlobalOpts with the
-// default execution options (GOMAXPROCS-wide fan-out).
-func (r *Repository) TopKGlobal(q Query, k int) ([]VideoTopKResult, TopKStats, error) {
-	return r.TopKGlobalOpts(q, k, ExecOptions{})
-}
-
-// TopKGlobalOpts runs the repository-wide ranked query. Sequentially
-// (Workers == 1) it merges every video's metadata into one clip-id
-// namespace and runs RVAQ once, so bounds and skip set prune globally.
-// In parallel it runs one shard-local TBClip iterator per video with a
-// periodic cross-shard exchange of the global B_lo^K, so shards prune
-// each other; the exchanged bounds are conservative and the merged
-// ranking is identical to the sequential run's.
+// TopKGlobalOpts ranks result sequences across the whole repository
+// (§4.2: "associating a video identifier to each clip identifier") and
+// tags each with its video. It fans one RVAQ execution per video out
+// over the worker pool, joined by one rvaq.GlobalBound: every video
+// publishes the lower bounds of its current top-k and prunes with the
+// k-th largest across all of them. The exchanged bounds are
+// conservative, so the ranking equals one RVAQ run over the merged
+// clip-id namespace. A video missing one of the query's labels
+// contributes no candidates (as its span would in the merged
+// namespace); only when every video misses them does the query fail
+// with the first video's ErrNotIngested. The stats report the wall
+// clock of the fan-out in Runtime and the summed per-video runtimes in
+// CPURuntime.
 func (r *Repository) TopKGlobalOpts(q Query, k int, eo ExecOptions) ([]VideoTopKResult, TopKStats, error) {
 	names := r.repo.Names()
 	if len(names) == 0 {
@@ -665,61 +650,14 @@ func (r *Repository) TopKGlobalOpts(q Query, k int, eo ExecOptions) ([]VideoTopK
 		// the coordinator merges it as a no-contribution, not a failure.
 		return nil, TopKStats{}, fmt.Errorf("vaq: repository has no videos: %w", ingest.ErrNotIngested)
 	}
-	if eo.workers() <= 1 || len(names) <= 1 {
-		return r.topKGlobalMerged(names, q, k, eo)
-	}
-	return r.topKGlobalSharded(names, q, k, eo)
-}
-
-// topKGlobalMerged is the sequential reference: one RVAQ execution over
-// the merged clip-id namespace.
-func (r *Repository) topKGlobalMerged(names []string, q Query, k int, eo ExecOptions) ([]VideoTopKResult, TopKStats, error) {
-	ctx, cancel := eo.queryCtx()
-	defer cancel()
-	ctx, gspan := trace.Start(ctx, "topk.global")
-	gspan.SetAttr("mode", "merged")
-	gspan.SetInt("videos", int64(len(names)))
-	defer gspan.End()
-	videos := make([]*ingest.VideoData, 0, len(names))
-	for _, n := range names {
-		vd, ok := r.repo.Video(n)
-		if !ok {
-			return nil, TopKStats{}, fmt.Errorf("%w: %q", ErrVideoNotFound, n)
-		}
-		videos = append(videos, vd)
-	}
-	merged, err := ingest.Merge(videos, names)
+	videos, err := r.videos(names)
 	if err != nil {
 		return nil, TopKStats{}, err
 	}
-	mopts := eo.rvaqOptions("")
-	mopts.Densify = mergedDensifier(merged, eo.Densifiers)
-	res, stats, err := rvaq.TopKCtx(ctx, merged.VideoData, q, k, mopts)
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make([]VideoTopKResult, 0, len(res))
-	for _, sr := range res {
-		name, local, ok := merged.LocateSeq(sr.Seq)
-		if !ok {
-			return nil, stats, fmt.Errorf("vaq: result %v outside every video span", sr.Seq)
-		}
-		out = append(out, VideoTopKResult{Video: name, TopKResult: TopKResult{Seq: local, Score: sr.Score, Degraded: sr.Degraded}})
-	}
-	return out, stats, nil
-}
-
-// topKGlobalSharded fans one RVAQ shard per video over the worker pool,
-// wired together by an rvaq.GlobalBound. A video missing one of the
-// query's labels contributes no candidates (exactly as its span would
-// in the merged namespace); only when every video misses them does the
-// query fail with the first shard's error.
-func (r *Repository) topKGlobalSharded(names []string, q Query, k int, eo ExecOptions) ([]VideoTopKResult, TopKStats, error) {
 	ctx, cancel := eo.queryCtx()
 	defer cancel()
 	p := eo.pool()
 	ctx, gspan := trace.Start(ctx, "topk.global")
-	gspan.SetAttr("mode", "sharded")
 	gspan.SetInt("videos", int64(len(names)))
 	gspan.SetInt("k", int64(k))
 	defer gspan.End()
@@ -737,14 +675,6 @@ func (r *Repository) topKGlobalSharded(names []string, q Query, k int, eo ExecOp
 	}
 	start := time.Now()
 	outs := make([]shardOut, len(names))
-	videos := make([]*ingest.VideoData, len(names))
-	for i, n := range names {
-		vd, ok := r.repo.Video(n)
-		if !ok {
-			return nil, TopKStats{}, fmt.Errorf("%w: %q", ErrVideoNotFound, n)
-		}
-		videos[i] = vd
-	}
 	var wg sync.WaitGroup
 	for i := range names {
 		wg.Add(1)
@@ -823,81 +753,4 @@ func sortVideoResults(all []VideoTopKResult) {
 		}
 		return all[a].Seq.Lo < all[b].Seq.Lo
 	})
-}
-
-// TopKAll runs RVAQ against every video in the repository and merges
-// the per-video rankings into a global top-k (the paper's multi-video
-// setting: each clip identifier is namespaced by its video). It is
-// TopKAllOpts with the default execution options.
-func (r *Repository) TopKAll(q Query, k int) ([]VideoTopKResult, TopKStats, error) {
-	return r.TopKAllOpts(q, k, ExecOptions{})
-}
-
-// TopKAllOpts fans the independent per-video RVAQ runs out over the
-// worker pool and merges the rankings deterministically (score
-// descending, then video name, then sequence start). The aggregate
-// stats report the wall clock of the parallel region in Runtime and the
-// summed per-video runtimes in CPURuntime, so CPURuntime/Runtime is the
-// effective speedup. Results are identical to a sequential run.
-func (r *Repository) TopKAllOpts(q Query, k int, eo ExecOptions) ([]VideoTopKResult, TopKStats, error) {
-	ctx, cancel := eo.queryCtx()
-	defer cancel()
-	p := eo.pool()
-	ctx, aspan := trace.Start(ctx, "topk.all")
-	aspan.SetInt("videos", int64(len(r.repo.Names())))
-	aspan.SetInt("k", int64(k))
-	defer aspan.End()
-	names := r.repo.Names()
-	type videoOut struct {
-		res   []TopKResult
-		stats TopKStats
-		err   error
-	}
-	start := time.Now()
-	outs := make([]videoOut, len(names))
-	videos := make([]*ingest.VideoData, len(names))
-	for i, n := range names {
-		vd, ok := r.repo.Video(n)
-		if !ok {
-			return nil, TopKStats{}, fmt.Errorf("%w: %q", ErrVideoNotFound, n)
-		}
-		videos[i] = vd
-	}
-	var wg sync.WaitGroup
-	for i := range names {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sctx, sspan := trace.Start(ctx, "topk.video")
-			sspan.SetAttr("video", names[i])
-			defer sspan.End()
-			outs[i].err = p.Do(sctx, func() error {
-				res, stats, err := rvaq.TopKCtx(sctx, videos[i], q, k, eo.rvaqOptions(names[i]))
-				outs[i].res, outs[i].stats = res, stats
-				return err
-			})
-		}(i)
-	}
-	wg.Wait()
-
-	var total TopKStats
-	var all []VideoTopKResult
-	for i, name := range names {
-		if err := outs[i].err; err != nil {
-			if eo.partialOnDeadline(err, &total) {
-				continue
-			}
-			return nil, total, fmt.Errorf("vaq: video %q: %w", name, err)
-		}
-		total.Merge(outs[i].stats)
-		for _, sr := range outs[i].res {
-			all = append(all, VideoTopKResult{Video: name, TopKResult: sr})
-		}
-	}
-	sortVideoResults(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	total.Runtime = time.Since(start)
-	return all, total, nil
 }

@@ -144,26 +144,26 @@ func TestRepositoryFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("Videos = %v", got)
 	}
 	q := Query{Action: "blowing_leaves", Objects: []Label{"car"}}
-	results, stats, err := repo.TopK("v1", q, 3)
+	results, stats, err := repo.TopKOpts("v1", q, 3, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) == 0 || stats.Candidates == 0 {
 		t.Fatalf("no results: %v %+v", results, stats)
 	}
-	if _, _, err := repo.TopK("ghost", q, 3); err == nil {
+	if _, _, err := repo.TopKOpts("ghost", q, 3, ExecOptions{}); err == nil {
 		t.Error("unknown video accepted")
 	}
-	all, _, err := repo.TopKAll(q, 2)
+	all, _, err := repo.TopKGlobalOpts(q, 2, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) == 0 || all[0].Video != "v1" {
-		t.Fatalf("TopKAll = %v", all)
+		t.Fatalf("TopKGlobalOpts = %v", all)
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i].Score > all[i-1].Score {
-			t.Fatal("TopKAll not sorted")
+			t.Fatal("TopKGlobalOpts not sorted")
 		}
 	}
 	if err := repo.Remove("v1"); err != nil {
@@ -210,13 +210,25 @@ func TestTopKGlobalMatchesPerVideoMerge(t *testing.T) {
 	}
 
 	q := Query{Action: "blowing_leaves", Objects: []Label{"car"}}
-	global, _, err := repo.TopKGlobal(q, 4)
+	global, _, err := repo.TopKGlobalOpts(q, 4, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perVideo, _, err := repo.TopKAll(q, 4)
-	if err != nil {
-		t.Fatal(err)
+	// The reference: each video ranked on its own, then merged in the
+	// namespace's total order and cut to k.
+	var perVideo []VideoTopKResult
+	for _, name := range repo.Videos() {
+		res, _, err := repo.TopKOpts(name, q, 4, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			perVideo = append(perVideo, VideoTopKResult{Video: name, TopKResult: r})
+		}
+	}
+	sortVideoResults(perVideo)
+	if len(perVideo) > 4 {
+		perVideo = perVideo[:4]
 	}
 	if len(global) != len(perVideo) {
 		t.Fatalf("lengths differ: %d vs %d", len(global), len(perVideo))
