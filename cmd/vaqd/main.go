@@ -67,8 +67,8 @@ func main() {
 		lblBrkFlag   = flag.Bool("label-breaker", false, "add per-(backend, label) circuit breakers inside the per-backend one")
 		adaptFlag    = flag.Duration("adaptive-retries", 0, "shrink retry budgets to zero as the p90 worker-queue wait warms toward this (0 = off)")
 		chainFlag    = flag.String("fallback-chain", "", "comma-separated cheaper detector profiles tried in order before the prior, e.g. 'yolov3,ideal'")
-		sharedFlag   = flag.Bool("shared-inference", true, "share one detection stack (singleflight dedup + score cache) across sessions of the same workload/scale/model")
-		cacheFlag    = flag.Int("infer-cache", 0, "shared score cache capacity in entries (0 = default 65536, negative = dedup only)")
+		sharedFlag   = flag.Bool("shared-inference", true, "share one detection stack (one memo deduplicating and keeping detector results) across sessions of the same workload/scale/model")
+		cacheFlag    = flag.Int("infer-cache", 0, "shared memo capacity in resident entries (0 = default 65536, negative = dedup only)")
 		batchWFlag   = flag.Duration("batch-window", 0, "hold shared-inference invocations this long to micro-batch same-profile units (0 = off)")
 		batchNFlag   = flag.Int("batch-max", 16, "max units per micro-batched detector call")
 		planRFlag    = flag.Int("plan-rate", 0, "adaptive sampling base rate: evaluate predicates on 1 unit in N, densifying only undecided clips (0 = dense, 1 = planner with the dense rung)")

@@ -10,7 +10,7 @@ import (
 )
 
 // accumulator implements bounded-delay micro-batching: invocations for
-// the same label-set key arriving within window of each other (and up
+// the same label-list key arriving within window of each other (and up
 // to maxN of them) are flushed as one vectorized call. The first
 // arrival arms a timer; reaching maxN flushes immediately (concurrent
 // arrivals racing the flush may ride along, so maxN is a soft cap). The
@@ -67,7 +67,7 @@ func newAccumulator[T any](window time.Duration, maxN int,
 	}, nil
 }
 
-// do enqueues unit under the label-set key and waits for its result
+// do enqueues unit under the label-list key and waits for its result
 // from the batch flush. ctx expiry abandons the wait (the batch still
 // serves the remaining members).
 func (a *accumulator[T]) do(ctx context.Context, key string, unit int, labels []annot.Label) (T, error) {

@@ -8,8 +8,8 @@ import (
 	"vaq/internal/video"
 )
 
-// ObjectSource is the upstream a flight fronts: the resilient detector
-// face (result plus degraded flag, no error — resilience has already
+// ObjectSource is the upstream a flight binds: the resilient detector
+// face (result plus degraded flag, no error; resilience has already
 // absorbed faults). *resilience.Detector implements it.
 type ObjectSource interface {
 	DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, bool)
@@ -21,52 +21,24 @@ type ActionSource interface {
 	RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, bool)
 }
 
-type objResult struct {
-	dets     []detect.Detection
-	degraded bool
-}
-
-type actResult struct {
-	scores   []detect.ActionScore
-	degraded bool
-}
-
-// ObjectFlight deduplicates concurrent same-key invocations of one
-// resilient detector. It sits ABOVE resilience so a hedged call's
-// replicas race inside one shared flight entry — coalescing below the
-// hedge would collapse the race the hedge exists to run.
+// ObjectFlight binds a resilient detector over this domain's memo to a
+// session's lifetime. It does no deduplication of its own: concurrent
+// same-unit calls coalesce in the memo below resilience, which also
+// hands every caller its own copy of the result.
 type ObjectFlight struct {
-	sh   *Shared
 	src  ObjectSource
 	name string
 }
 
-// ObjectFlight fronts src (identified by name — the backend name used
-// in flight keys) with the domain's dedup group.
+// ObjectFlight fronts src, reported under name.
 func (sh *Shared) ObjectFlight(name string, src ObjectSource) *ObjectFlight {
-	return &ObjectFlight{sh: sh, src: src, name: name}
+	return &ObjectFlight{src: src, name: name}
 }
 
-// DetectCtx coalesces into (or leads) the shared call for this key.
-// Every waiter receives its own clone of the result; err is non-nil
-// only when THIS waiter's ctx expired — the shared call keeps running
-// for the others.
-func (f *ObjectFlight) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, bool, error) {
-	k := unitKey('o', f.name, int(v), labels)
-	res, coalesced, err := f.sh.objGroup.do(ctx, k, func(cctx context.Context) objResult {
-		dets, degraded := f.src.DetectCtx(cctx, v, labels)
-		return objResult{dets: dets, degraded: degraded}
-	})
-	f.sh.noteFlight(coalesced)
-	if err != nil {
-		return nil, false, err
-	}
-	return cloneDetections(res.dets), res.degraded, nil
-}
-
-// Bind returns the infallible engine-facing detector scoped to ctx
-// (a session's lifetime): the engines keep calling plain Detect while
-// every call joins the cross-session flight under that ctx.
+// Bind returns the infallible engine-facing detector scoped to ctx (a
+// session's lifetime): the engines keep calling plain Detect, and a
+// cancelled ctx abandons the session's waits on fills other callers
+// lead.
 func (f *ObjectFlight) Bind(ctx context.Context) detect.ObjectDetector {
 	if ctx == nil {
 		ctx = context.Background()
@@ -82,34 +54,19 @@ type boundObject struct {
 func (b boundObject) Name() string { return b.f.name }
 
 func (b boundObject) Detect(v video.FrameIdx, labels []annot.Label) []detect.Detection {
-	dets, _, _ := b.f.DetectCtx(b.ctx, v, labels)
+	dets, _ := b.f.src.DetectCtx(b.ctx, v, labels)
 	return dets
 }
 
 // ActionFlight is the shot-level counterpart of ObjectFlight.
 type ActionFlight struct {
-	sh   *Shared
 	src  ActionSource
 	name string
 }
 
-// ActionFlight fronts src with the domain's dedup group.
+// ActionFlight fronts src, reported under name.
 func (sh *Shared) ActionFlight(name string, src ActionSource) *ActionFlight {
-	return &ActionFlight{sh: sh, src: src, name: name}
-}
-
-// RecognizeCtx coalesces into (or leads) the shared call for this key.
-func (f *ActionFlight) RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, bool, error) {
-	k := unitKey('a', f.name, int(s), labels)
-	res, coalesced, err := f.sh.actGroup.do(ctx, k, func(cctx context.Context) actResult {
-		scores, degraded := f.src.RecognizeCtx(cctx, s, labels)
-		return actResult{scores: scores, degraded: degraded}
-	})
-	f.sh.noteFlight(coalesced)
-	if err != nil {
-		return nil, false, err
-	}
-	return cloneScores(res.scores), res.degraded, nil
+	return &ActionFlight{src: src, name: name}
 }
 
 // Bind returns the infallible engine-facing recognizer scoped to ctx.
@@ -128,13 +85,13 @@ type boundAction struct {
 func (b boundAction) Name() string { return b.f.name }
 
 func (b boundAction) Recognize(s video.ShotIdx, labels []annot.Label) []detect.ActionScore {
-	scores, _, _ := b.f.RecognizeCtx(b.ctx, s, labels)
+	scores, _ := b.f.src.RecognizeCtx(b.ctx, s, labels)
 	return scores
 }
 
 // FallibleObjectSource adapts a fallible backend into an ObjectSource
-// for stacks without a resilience layer (the library facade): errors —
-// only ctx expiry for the adapted simulators — surface as empty,
+// for stacks without a resilience layer (the library facade): errors
+// (only ctx expiry for the adapted simulators) surface as empty,
 // non-degraded results.
 func FallibleObjectSource(d detect.FallibleObjectDetector) ObjectSource {
 	return fallibleObjSource{d}
@@ -160,14 +117,4 @@ type fallibleActSource struct {
 func (p fallibleActSource) RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, bool) {
 	scores, _ := p.r.RecognizeCtx(ctx, s, labels)
 	return scores, false
-}
-
-func (sh *Shared) noteFlight(coalesced bool) {
-	if coalesced {
-		sh.coalesce.Add(1)
-		sh.cCoalesced.Add(1)
-	} else {
-		sh.leaders.Add(1)
-		sh.cLeaders.Add(1)
-	}
 }

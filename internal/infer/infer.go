@@ -5,51 +5,51 @@
 // >98% of online runtime to model inference, so at many-sessions scale
 // this layer — not the matcher — is where serving capacity is won.
 //
-// Three composable layers, stacked from the engines down:
+// Three layers, stacked from the engines down:
 //
-//  1. Singleflight dedup (ObjectFlight / ActionFlight). Concurrent
-//     invocations for the same (backend, unit, label-set) key coalesce
-//     into one in-flight call whose result fans out to every waiter.
-//     Each waiter observes its own ctx: a cancelled waiter leaves
-//     immediately without killing the shared call, which is cancelled
-//     only when its last waiter is gone. The flight sits ABOVE the
-//     resilience layer so a hedged invocation's replicas share one
-//     flight entry — dedup must not swallow the hedge race itself.
-//  2. Same-profile micro-batching (Shared.Object / Shared.Action with
-//     BatchWindow > 0). A bounded-delay accumulator groups same-label-set
-//     unit invocations arriving within BatchWindow (or until BatchMax)
-//     into one vectorized backend call, amortising per-invocation
-//     dispatch cost. Batch results are byte-identical to per-unit calls.
-//  3. Bounded memoized score cache (Shared.Object / Shared.Action with
-//     CacheCapacity > 0). Admission is a TinyLFU-style doorkeeper —
-//     under eviction pressure a key must be seen twice before it may
-//     displace a resident entry — and eviction is second-chance CLOCK.
-//     The cache sits BELOW the fault injector (package fault): every
+//  1. Session binding (ObjectFlight / ActionFlight). A thin adapter that
+//     binds the resilient detector above the domain to one session's
+//     ctx, so the engines keep calling plain Detect / Recognize. It
+//     does no deduplication of its own.
+//  2. The memo (Shared.Object / Shared.Action): one table per domain,
+//     keyed by (kind, backend, unit, label). The first caller of a
+//     missing entry fills it inline, on its own goroutine; concurrent
+//     callers of an entry in flight wait on it and each leaves on its
+//     own ctx, while the leader always finishes its fill. Every clean
+//     fill stays resident, up to CacheCapacity entries evicted by
+//     second-chance CLOCK. A multi-label call is served from per-label
+//     entries, so ingest (all labels per frame) and sessions (one label
+//     per probe) share them.
+//     The memo sits BELOW the fault injector (package fault): every
 //     engine-visible invocation still passes through fault's
-//     deterministic draws, and corrupted results are never admitted, so
-//     chaos runs are byte-identical with the cache on or off.
+//     deterministic draws, and corrupted results are never memoized, so
+//     chaos runs are byte-identical with the cache on or off. Over an
+//     infallible backend the memo carries detect.InfallibleBackend, so
+//     resilience keeps its fast path; with a fault schedule armed the
+//     injector sits between them and the marker does not show.
+//  3. Same-profile micro-batching (BatchWindow > 0), below the memo. A
+//     bounded-delay accumulator groups same-label-list unit fills
+//     arriving within BatchWindow (or until BatchMax) into one
+//     vectorized backend call, amortising per-invocation dispatch cost.
+//     Batch results are byte-identical to per-unit calls.
 //
 // See docs/INFERENCE.md for the stacking contract and tuning guidance.
 package infer
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"vaq/internal/annot"
-	"vaq/internal/detect"
 	"vaq/internal/trace"
 )
 
 // Config sizes one Shared inference domain. The zero value disables
-// every layer except dedup (flights always coalesce).
+// every layer except dedup (fills in flight always coalesce).
 type Config struct {
-	// CacheCapacity bounds the memo cache in entries (one entry per
-	// (backend, unit, label-set) key); <= 0 disables the cache.
+	// CacheCapacity bounds the memo's resident entries (one per
+	// (kind, backend, unit, label) key); <= 0 keeps none resident.
 	CacheCapacity int
 	// BatchWindow is how long the accumulator holds the first invocation
 	// of a batch open waiting for companions; <= 0 disables batching.
@@ -66,17 +66,20 @@ const DefaultBatchMax = 16
 
 // Stats is a point-in-time snapshot of one Shared domain's counters.
 type Stats struct {
-	// Cache outcomes, counted at the cache layer (below fault).
+	// Memo outcomes, counted per call below fault. CacheHits calls were
+	// served from resident entries alone; CacheMisses calls reached the
+	// backend, one per backend call however many labels it filled.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	// Admitted/Evicted/DoorRejected describe the admission and eviction
-	// flow: a doorkeeper-rejected key was seen for the first time under
-	// eviction pressure and not admitted.
+	// Admitted/Evicted describe the memo's population. DoorRejected
+	// stays 0: every clean fill is admitted (the field keeps its JSON
+	// name for readers of earlier snapshots).
 	Admitted     int64 `json:"admitted"`
 	Evicted      int64 `json:"evicted"`
 	DoorRejected int64 `json:"door_rejected"`
-	// Flight outcomes: Leaders ran the shared call, Coalesced joined one
-	// already in flight.
+	// Dedup outcomes: Coalesced calls waited on a fill another caller
+	// had in flight and made no backend call; Leaders are all the
+	// others (the hits and the misses).
 	Leaders   int64 `json:"leaders"`
 	Coalesced int64 `json:"coalesced"`
 	// Batching: Batches vectorized calls covering BatchedUnits units.
@@ -97,28 +100,29 @@ func (s *Stats) Add(o Stats) {
 	s.BatchedUnits += o.BatchedUnits
 }
 
-// Shared is one shared-inference domain: one cache, one flight group
-// and one batch accumulator per kind, shared by every backend wrapped
-// through it. All backends of the same Name() wrapped into one Shared
-// must be interchangeable (same scene, same profile) — the server's hub
+// Shared is one shared-inference domain: one memo table shared by
+// every backend wrapped through it, plus a batch accumulator per wrapped
+// backend when batching is armed. All
+// backends of the same Name() wrapped into one Shared must be
+// interchangeable (same scene, same profile); the server's hub
 // guarantees this by keying domains on (workload, scale, model).
 type Shared struct {
-	cfg   Config
-	cache *cache
+	cfg    Config
+	shards []memoShard
 
-	objGroup group[objResult]
-	actGroup group[actResult]
-	leaders  atomic.Int64
-	coalesce atomic.Int64
+	mu       sync.Mutex
+	backends map[string]uint32 // see backendID
 
-	batches    atomic.Int64
-	batchUnits atomic.Int64
+	hits, misses, leaders, coalesce atomic.Int64
+	admitted, evicted               atomic.Int64
+	batches, batchUnits             atomic.Int64
 
-	// Pre-resolved trace handles (nil-safe when cfg.Tracer is nil).
-	cHits, cMisses, cAdmit, cEvict, cDoor *trace.Counter
-	cLeaders, cCoalesced                  *trace.Counter
-	cBatches, cBatchUnits                 *trace.Counter
-	sBatchSize, sBatchFlush               *trace.Stage
+	// Pre-resolved trace handles (nil-safe when cfg.Tracer is nil): /varz
+	// reads these, Stats() the atomics above; both move together.
+	cHits, cMisses, cAdmit, cEvict *trace.Counter
+	cLeaders, cCoalesced           *trace.Counter
+	cBatches, cBatchUnits          *trace.Counter
+	sBatchSize, sBatchFlush        *trace.Stage
 }
 
 // Validate rejects unusable configurations. Zero values stay legal
@@ -145,24 +149,19 @@ func New(cfg Config) (*Shared, error) {
 		cfg.BatchMax = DefaultBatchMax
 	}
 	sh := &Shared{cfg: cfg}
-	if cfg.CacheCapacity > 0 {
-		sh.cache = newCache(cfg.CacheCapacity)
-	}
+	sh.initMemo(cfg.CacheCapacity)
 	tr := cfg.Tracer
 	sh.cHits = tr.Counter("infer.cache_hits")
 	sh.cMisses = tr.Counter("infer.cache_misses")
 	sh.cAdmit = tr.Counter("infer.cache_admitted")
 	sh.cEvict = tr.Counter("infer.cache_evicted")
-	sh.cDoor = tr.Counter("infer.cache_door_rejected")
+	tr.Counter("infer.cache_door_rejected") // stays 0, see Stats.DoorRejected
 	sh.cLeaders = tr.Counter("infer.flight_leaders")
 	sh.cCoalesced = tr.Counter("infer.coalesced")
 	sh.cBatches = tr.Counter("infer.batches")
 	sh.cBatchUnits = tr.Counter("infer.batch_units")
 	sh.sBatchSize = tr.Stage("infer.batch_size")
 	sh.sBatchFlush = tr.Stage("infer.batch_flush")
-	if sh.cache != nil {
-		sh.cache.cAdmit, sh.cache.cEvict, sh.cache.cDoor = sh.cAdmit, sh.cEvict, sh.cDoor
-	}
 	return sh, nil
 }
 
@@ -181,74 +180,19 @@ func (sh *Shared) Config() Config { return sh.cfg }
 
 // Stats snapshots the domain's counters.
 func (sh *Shared) Stats() Stats {
-	st := Stats{
+	return Stats{
+		CacheHits:    sh.hits.Load(),
+		CacheMisses:  sh.misses.Load(),
+		Admitted:     sh.admitted.Load(),
+		Evicted:      sh.evicted.Load(),
 		Leaders:      sh.leaders.Load(),
 		Coalesced:    sh.coalesce.Load(),
 		Batches:      sh.batches.Load(),
 		BatchedUnits: sh.batchUnits.Load(),
 	}
-	if sh.cache != nil {
-		st.CacheHits = sh.cache.hits.Load()
-		st.CacheMisses = sh.cache.misses.Load()
-		st.Admitted = sh.cache.admitted.Load()
-		st.Evicted = sh.cache.evicted.Load()
-		st.DoorRejected = sh.cache.doorRejected.Load()
-	}
-	return st
 }
 
-// unitKey builds the canonical (kind, backend, unit, label-set) key used
-// by both the cache and the flight groups. Label sets are order-
-// insensitive: multi-label slices are sorted into a copy.
-func unitKey(kind byte, backend string, unit int, labels []annot.Label) string {
-	var b strings.Builder
-	b.Grow(len(backend) + 16 + 12*len(labels))
-	b.WriteByte(kind)
-	b.WriteByte('|')
-	b.WriteString(backend)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(unit))
-	for _, l := range sortedLabels(labels) {
-		b.WriteByte('|')
-		b.WriteString(string(l))
-	}
-	return b.String()
-}
-
-// labelsKey is the label-set part alone, for batch grouping.
-func labelsKey(labels []annot.Label) string {
-	var b strings.Builder
-	for _, l := range sortedLabels(labels) {
-		b.WriteByte('|')
-		b.WriteString(string(l))
-	}
-	return b.String()
-}
-
-func sortedLabels(labels []annot.Label) []annot.Label {
-	if len(labels) < 2 || sort.SliceIsSorted(labels, func(i, j int) bool { return labels[i] < labels[j] }) {
-		return labels
-	}
-	out := append([]annot.Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// cloneDetections deep-copies a detection slice. Mandatory on every
-// cache/flight boundary: Tracker.Update mutates Detection.Track in
-// place, so handing the same backing array to two sessions would leak
-// one session's track identifiers into another.
-func cloneDetections(dets []detect.Detection) []detect.Detection {
-	if dets == nil {
-		return nil
-	}
-	return append([]detect.Detection(nil), dets...)
-}
-
-// cloneScores copies an action-score slice (same aliasing argument).
-func cloneScores(ss []detect.ActionScore) []detect.ActionScore {
-	if ss == nil {
-		return nil
-	}
-	return append([]detect.ActionScore(nil), ss...)
+func (sh *Shared) noteLeader() {
+	sh.leaders.Add(1)
+	sh.cLeaders.Add(1)
 }

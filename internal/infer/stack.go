@@ -2,6 +2,7 @@ package infer
 
 import (
 	"context"
+	"strings"
 	"time"
 
 	"vaq/internal/annot"
@@ -10,84 +11,88 @@ import (
 )
 
 // Object wraps a fallible object backend with the domain's below-fault
-// layers: the memo cache on top (when CacheCapacity > 0) of the
-// micro-batcher (when BatchWindow > 0) of the backend. The returned
-// backend is what the fault injector — and above it the resilience
-// layer — should wrap: every engine-visible invocation still crosses
-// fault's deterministic draws, and a fault-corrupted result is produced
-// above this layer, so the cache only ever holds clean scores.
+// layers: the memo on top of the micro-batcher (when BatchWindow > 0)
+// on top of the backend. The returned backend is what the fault
+// injector (and above it the resilience layer) should wrap: every
+// engine-visible invocation still crosses fault's deterministic draws,
+// and a fault-corrupted result is produced above this layer, so the
+// memo only ever holds clean results. Over an infallible backend the
+// result carries detect.InfallibleBackend too.
 func (sh *Shared) Object(backend detect.FallibleObjectDetector) detect.FallibleObjectDetector {
-	out := backend
+	inner := backend
 	if sh.cfg.BatchWindow > 0 {
-		out = sh.newBatchedObject(out)
+		inner = sh.newBatchedObject(inner)
 	}
-	if sh.cache != nil {
-		out = &cachedObject{inner: out, sh: sh, name: backend.Name()}
+	m := &memoObject{inner: inner, sh: sh, name: backend.Name(), key: memoKey{kind: 'o', backend: sh.backendID(backend.Name())}}
+	if _, ok := inner.(detect.InfallibleBackend); ok {
+		return infallibleMemoObject{m}
 	}
-	return out
+	return m
 }
 
 // Action is the shot-level counterpart of Object.
 func (sh *Shared) Action(backend detect.FallibleActionRecognizer) detect.FallibleActionRecognizer {
-	out := backend
+	inner := backend
 	if sh.cfg.BatchWindow > 0 {
-		out = sh.newBatchedAction(out)
+		inner = sh.newBatchedAction(inner)
 	}
-	if sh.cache != nil {
-		out = &cachedAction{inner: out, sh: sh, name: backend.Name()}
+	m := &memoAction{inner: inner, sh: sh, name: backend.Name(), key: memoKey{kind: 'a', backend: sh.backendID(backend.Name())}}
+	if _, ok := inner.(detect.InfallibleBackend); ok {
+		return infallibleMemoAction{m}
 	}
-	return out
+	return m
 }
 
-// cachedObject memoizes clean results below fault. Slices are cloned on
-// both put and get: Tracker.Update mutates Detection.Track in place.
-type cachedObject struct {
+type memoObject struct {
 	inner detect.FallibleObjectDetector
 	sh    *Shared
 	name  string
+	key   memoKey // kind and backend; memoCall sets unit and label
 }
 
-func (c *cachedObject) Name() string { return c.name }
+func (m *memoObject) Name() string { return m.name }
 
-func (c *cachedObject) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, error) {
-	k := unitKey('o', c.name, int(v), labels)
-	if val, ok := c.sh.cache.get(k); ok {
-		c.sh.cHits.Add(1)
-		return cloneDetections(val.([]detect.Detection)), nil
-	}
-	c.sh.cMisses.Add(1)
-	dets, err := c.inner.DetectCtx(ctx, v, labels)
-	if err != nil {
-		return nil, err
-	}
-	c.sh.cache.put(k, cloneDetections(dets))
-	return dets, nil
+func (m *memoObject) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, error) {
+	key := m.key
+	key.unit = int(v)
+	return memoCall(m.sh, ctx, key, labels,
+		func(ctx context.Context, ls []annot.Label) ([]detect.Detection, error) {
+			return m.inner.DetectCtx(ctx, v, ls)
+		},
+		func(d detect.Detection) annot.Label { return d.Label })
 }
 
-type cachedAction struct {
+// infallibleMemoObject forwards the inner backend's InfallibleBackend
+// marker: the memo adds no failure of its own beyond a caller's expired
+// ctx, which the infallible adapters report too.
+type infallibleMemoObject struct{ *memoObject }
+
+func (infallibleMemoObject) InfallibleBackend() {}
+
+type memoAction struct {
 	inner detect.FallibleActionRecognizer
 	sh    *Shared
 	name  string
+	key   memoKey // kind and backend; memoCall sets unit and label
 }
 
-func (c *cachedAction) Name() string { return c.name }
+func (m *memoAction) Name() string { return m.name }
 
-func (c *cachedAction) RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, error) {
-	k := unitKey('a', c.name, int(s), labels)
-	if val, ok := c.sh.cache.get(k); ok {
-		c.sh.cHits.Add(1)
-		return cloneScores(val.([]detect.ActionScore)), nil
-	}
-	c.sh.cMisses.Add(1)
-	scores, err := c.inner.RecognizeCtx(ctx, s, labels)
-	if err != nil {
-		return nil, err
-	}
-	c.sh.cache.put(k, cloneScores(scores))
-	return scores, nil
+func (m *memoAction) RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, error) {
+	key := m.key
+	key.unit = int(s)
+	return memoCall(m.sh, ctx, key, labels,
+		func(ctx context.Context, ls []annot.Label) ([]detect.ActionScore, error) {
+			return m.inner.RecognizeCtx(ctx, s, ls)
+		},
+		func(a detect.ActionScore) annot.Label { return a.Label })
 }
 
-// batchedObject funnels same-label-set invocations through the bounded-
+type infallibleMemoAction struct{ *memoAction }
+
+func (infallibleMemoAction) InfallibleBackend() {}
+
+// batchedObject funnels same-label-list invocations through the bounded-
 // delay accumulator. When the wrapped backend (unwrapped through the
 // infallible adapter) supports DetectBatch, multi-unit flushes become
 // one vectorized call; otherwise the flush loops per unit, which still
@@ -188,4 +193,16 @@ func (sh *Shared) observeFlush(n int, d time.Duration) {
 	sh.cBatchUnits.Add(int64(n))
 	sh.sBatchSize.Observe(time.Duration(n) * time.Microsecond)
 	sh.sBatchFlush.Observe(d)
+}
+
+// labelsKey is the batch grouping key: the label list in call order, so
+// every member of a batch asked for the same labels in the same order
+// and the vectorized call's results match each member's own call.
+func labelsKey(labels []annot.Label) string {
+	var b strings.Builder
+	for _, l := range labels {
+		b.WriteByte('|')
+		b.WriteString(string(l))
+	}
+	return b.String()
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // fakeObj is a counting fallible object backend returning one detection
-// per (unit, first label) with a score encoding the unit.
+// per label (perLabel) with a score encoding the unit.
 type fakeObj struct {
 	name  string
 	calls atomic.Int64
@@ -43,7 +43,7 @@ func (f *fakeObj) DetectCtx(_ context.Context, v video.FrameIdx, labels []annot.
 	if err != nil {
 		return nil, err
 	}
-	return []detect.Detection{{Label: labels[0], Score: float64(v)}}, nil
+	return perLabel(v, labels), nil
 }
 
 func TestCachedObjectMemoizes(t *testing.T) {
@@ -109,19 +109,20 @@ func TestCachedObjectDoesNotCacheErrors(t *testing.T) {
 	}
 }
 
+// TestLabelSetKeyIsOrderInsensitive: a permuted label list is served
+// from the same per-label entries, in the caller's own order.
 func TestLabelSetKeyIsOrderInsensitive(t *testing.T) {
 	fk := &fakeObj{name: "fake"}
 	sh := MustNew(Config{CacheCapacity: 16})
 	wrapped := sh.Object(fk)
 
-	if _, err := wrapped.DetectCtx(context.Background(), 2, []annot.Label{"car", "person"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wrapped.DetectCtx(context.Background(), 2, []annot.Label{"person", "car"}); err != nil {
-		t.Fatal(err)
-	}
+	detectOK(t, wrapped, 2, "car", "person")
+	got := detectOK(t, wrapped, 2, "person", "car")
 	if fk.calls.Load() != 1 {
-		t.Fatalf("backend calls = %d, want 1 (permuted label set must share the key)", fk.calls.Load())
+		t.Fatalf("backend calls = %d, want 1 (permuted labels must share the entries)", fk.calls.Load())
+	}
+	if want := perLabel(2, []annot.Label{"person", "car"}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("permuted call got %v, want the backend's order %v", got, want)
 	}
 }
 
@@ -256,39 +257,40 @@ func TestFlightBindDropsDegradedAndError(t *testing.T) {
 	if len(dets) != 1 || dets[0].Score != 4 {
 		t.Fatalf("Detect = %v", dets)
 	}
+	fk.setErr(errors.New("boom"))
+	if dets := det.Detect(5, []annot.Label{"car"}); dets != nil {
+		t.Fatalf("failed call surfaced %v, want nil", dets)
+	}
 }
 
+// TestFlightCoalescesAndClonesPerWaiter drives the facade's stack, a
+// bound flight over the memo: concurrent sessions on one unit share one
+// backend call and each gets its own copy.
 func TestFlightCoalescesAndClonesPerWaiter(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var calls atomic.Int64
-	src := blockingSrc{release: release, started: started, calls: &calls}
+	g := newGate()
 	sh := MustNew(Config{})
-	f := sh.ObjectFlight("b", src)
+	f := sh.ObjectFlight("gate", FallibleObjectSource(sh.Object(g)))
 	labels := []annot.Label{"car"}
 
 	const n = 6
 	results := make([][]detect.Detection, n)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results[0], _, _ = f.DetectCtx(context.Background(), 9, labels)
-	}()
-	<-started
-	for i := 1; i < n; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, _ = f.DetectCtx(context.Background(), 9, labels)
+			results[i] = f.Bind(context.Background()).Detect(9, labels)
 		}(i)
+		if i == 0 {
+			<-g.started
+		}
 	}
-	time.Sleep(20 * time.Millisecond)
-	close(release)
+	awaitCoalesced(sh, n-1)
+	close(g.release)
 	wg.Wait()
 
-	if calls.Load() != 1 {
-		t.Fatalf("source calls = %d, want 1", calls.Load())
+	if g.calls.Load() != 1 {
+		t.Fatalf("backend calls = %d, want 1", g.calls.Load())
 	}
 	for i := 0; i < n; i++ {
 		if len(results[i]) != 1 || results[i][0].Score != 9 {
@@ -306,46 +308,24 @@ func TestFlightCoalescesAndClonesPerWaiter(t *testing.T) {
 	}
 }
 
-type blockingSrc struct {
-	release chan struct{}
-	started chan struct{}
-	calls   *atomic.Int64
-}
-
-func (s blockingSrc) DetectCtx(_ context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, bool) {
-	s.calls.Add(1)
-	close(s.started)
-	<-s.release
-	return []detect.Detection{{Label: labels[0], Score: float64(v)}}, false
-}
-
 func TestFlightWaiterCancellation(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var calls atomic.Int64
-	src := blockingSrc{release: release, started: started, calls: &calls}
+	g := newGate()
 	sh := MustNew(Config{})
-	f := sh.ObjectFlight("b", src)
+	f := sh.ObjectFlight("gate", FallibleObjectSource(sh.Object(g)))
 	labels := []annot.Label{"car"}
 
 	leaderOut := make(chan []detect.Detection, 1)
-	go func() {
-		dets, _, _ := f.DetectCtx(context.Background(), 1, labels)
-		leaderOut <- dets
-	}()
-	<-started
+	go func() { leaderOut <- f.Bind(context.Background()).Detect(1, labels) }()
+	<-g.started
 	ctx, cancel := context.WithCancel(context.Background())
-	waiterErr := make(chan error, 1)
-	go func() {
-		_, _, err := f.DetectCtx(ctx, 1, labels)
-		waiterErr <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	waiterOut := make(chan []detect.Detection, 1)
+	go func() { waiterOut <- f.Bind(ctx).Detect(1, labels) }()
+	awaitCoalesced(sh, 1)
 	cancel()
-	if err := <-waiterErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter err = %v, want context.Canceled", err)
+	if dets := <-waiterOut; dets != nil {
+		t.Fatalf("cancelled waiter got %v, want nothing", dets)
 	}
-	close(release)
+	close(g.release)
 	if dets := <-leaderOut; len(dets) != 1 {
 		t.Fatalf("leader starved by a cancelled waiter: %v", dets)
 	}
@@ -364,22 +344,28 @@ func TestStatsAddAggregates(t *testing.T) {
 	}
 }
 
+// TestUnitKeyDistinguishesKindBackendUnit: entries differing in any of
+// kind, backend, unit or label never serve each other.
 func TestUnitKeyDistinguishesKindBackendUnit(t *testing.T) {
-	keys := map[string]bool{}
-	for _, k := range []string{
-		unitKey('o', "m", 1, []annot.Label{"car"}),
-		unitKey('a', "m", 1, []annot.Label{"car"}),
-		unitKey('o', "n", 1, []annot.Label{"car"}),
-		unitKey('o', "m", 2, []annot.Label{"car"}),
-		unitKey('o', "m", 1, []annot.Label{"person"}),
-	} {
-		if keys[k] {
-			t.Fatalf("key collision: %q", k)
-		}
-		keys[k] = true
+	m, n := &fakeObj{name: "m"}, &fakeObj{name: "n"}
+	sh := MustNew(Config{CacheCapacity: 64})
+	wm, wn := sh.Object(m), sh.Object(n)
+	scene, _ := testScene(t)
+	var meter detect.CostMeter
+	wa := sh.Action(detect.AsFallibleAction(detect.NewSimActionRecognizer(scene, detect.I3D, &meter)))
+
+	detectOK(t, wm, 1, "car")
+	detectOK(t, wn, 1, "car")
+	detectOK(t, wm, 2, "car")
+	detectOK(t, wm, 1, "person")
+	if _, err := wa.RecognizeCtx(context.Background(), 1, []annot.Label{"car"}); err != nil {
+		t.Fatal(err)
 	}
-	if unitKey('o', "m", 1, []annot.Label{"a", "b"}) != unitKey('o', "m", 1, []annot.Label{"b", "a"}) {
-		t.Fatal("label order changed the key")
+	if m.calls.Load() != 3 || n.calls.Load() != 1 || meter.Calls() != 1 {
+		t.Fatalf("backend calls m=%d n=%d action=%d, want 3/1/1: a key collided", m.calls.Load(), n.calls.Load(), meter.Calls())
+	}
+	if sh.resident() != 5 {
+		t.Fatalf("resident = %d, want 5 distinct entries", sh.resident())
 	}
 }
 
@@ -458,18 +444,46 @@ func TestActionPathFullStack(t *testing.T) {
 	if st.CacheHits == 0 || st.BatchedUnits < n {
 		t.Fatalf("stats %+v: want cache hits and >= %d batched units", st, n)
 	}
-	// The direct flight face reports waiter-scoped errors.
+	// A session already gone is still served what is resident, and
+	// spends no inference on what is not.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := f.RecognizeCtx(ctx, 0, labels); err == nil {
-		// A cache hit below resolves before the ctx check only if the
-		// flight completed instantly; either way the call must not hang.
-		t.Log("cancelled ctx still served (fast path)")
+	dead := f.Bind(ctx)
+	if got := dead.Recognize(0, labels); !reflect.DeepEqual(got, repeat) {
+		t.Fatalf("resident shot for a dead session: %v", got)
+	}
+	calls := meter.Calls()
+	if got := dead.Recognize(video.ShotIdx(n+1), labels); got != nil || meter.Calls() != calls {
+		t.Fatalf("dead session filled shot %d: %v", n+1, got)
 	}
 }
 
 func TestBatchShapeErrorMessage(t *testing.T) {
 	if errBatchShape.Error() == "" {
 		t.Fatal("empty error message")
+	}
+}
+
+// TestBatchedPermutedLabelsKeepCallOrder: fills asking for the same
+// labels in different orders inside one batch window each get the
+// backend's result for their own order.
+func TestBatchedPermutedLabelsKeepCallOrder(t *testing.T) {
+	sh := MustNew(Config{BatchWindow: 20 * time.Millisecond, BatchMax: 8})
+	wrapped := sh.Object(&fakeObj{name: "fake"})
+	lists := [][]annot.Label{{"car", "person"}, {"person", "car"}}
+	got := make([][]detect.Detection, len(lists))
+	var wg sync.WaitGroup
+	for i, ls := range lists {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = wrapped.DetectCtx(context.Background(), video.FrameIdx(i), ls)
+		}()
+	}
+	wg.Wait()
+	for i, ls := range lists {
+		if want := perLabel(video.FrameIdx(i), ls); !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("%v: batched %v, backend %v", ls, got[i], want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package resilience_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"vaq/internal/detect"
 	"vaq/internal/fault"
 	"vaq/internal/resilience"
+	"vaq/internal/trace"
 	"vaq/internal/video"
 )
 
@@ -131,5 +133,26 @@ func TestRecognizerFallbackChainHops(t *testing.T) {
 	m.Rec.Recognize(1, actLabels)
 	if !m.Degraded() {
 		t.Error("Models.Degraded() false after a degraded recognizer serve")
+	}
+}
+
+// TestHedgeArmedTimesInfallibleBackends: an armed hedge keeps the
+// policy path over an infallible adapter, so its latency sketch (what
+// /metricsz reports) fills; unarmed, the adapter takes the fast path.
+func TestHedgeArmedTimesInfallibleBackends(t *testing.T) {
+	scene, _ := testScene(1)
+	for _, hq := range []float64{0, 0.9} {
+		tr := trace.New()
+		pol := resilience.Policy{Seed: 1, HedgeQuantile: hq, HedgeMinSamples: 8}
+		sim := detect.NewSimObjectDetector(scene, detect.MaskRCNN, nil)
+		det := resilience.NewDetector(detect.AsFallibleObject(sim), pol, resilience.Options{Tracer: tr})
+		for i := 0; i < 10; i++ {
+			det.Detect(video.FrameIdx(i), labels)
+		}
+		name := "resilience.latency.obj." + strings.ToLower(sim.Name())
+		st, timed := tr.Stages()[name]
+		if want := hq > 0; timed != want || (want && st.Count != 10) {
+			t.Fatalf("hedge quantile %v: stage %s present %v with %+v, want timed rounds %v", hq, name, timed, st, want)
+		}
 	}
 }

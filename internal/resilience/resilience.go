@@ -271,11 +271,12 @@ func newInvoker(p Policy, salt, backend string, opt Options) *invoker {
 // fastPath reports whether a call may bypass the policy machinery
 // entirely: the backend can neither fail nor block (detect's
 // infallible adapters), so the deadline context, breaker round-trip
-// and backoff loop are dead weight it cannot observe. The caller still
-// counts the call and must fall into invoke if the backend errors
-// after all.
+// and backoff loop are dead weight it cannot observe. An armed hedge
+// keeps the policy path: it times every round, and its latency sketch
+// is what /metricsz reports. The caller still counts the call and must
+// fall into invoke if the backend errors after all.
 func (in *invoker) fastPath(ctx context.Context) bool {
-	return in.fast && ctx.Err() == nil
+	return in.fast && in.lat == nil && ctx.Err() == nil
 }
 
 // invoke runs call under the policy: deadline and optional hedge per

@@ -24,7 +24,8 @@ type G interface {
 	CombineClip(action float64, objects []float64) float64
 }
 
-// F combines clip scores into a sequence score S_q^(z) (Equation 10).
+// F combines clip scores into a sequence score S_q^(z) (Equation 10):
+// a sequence's score is its clip scores folded with Merge from Zero.
 // The §4.1 contract:
 //
 //   - monotone in every clip score,
@@ -32,9 +33,6 @@ type G interface {
 //   - decomposable: S(z1 ∪ z2) = S(z1) ⊙ S(z2) for disjoint covers,
 //     with ⊙ exposed via Merge.
 type F interface {
-	// CombineSeq folds the clip scores of a sequence. Empty input must
-	// yield Zero.
-	CombineSeq(clipScores []float64) float64
 	// Merge is the ⊙ operator of Equation 11.
 	Merge(a, b float64) float64
 	// MergeN merges n copies of the same clip score (used by RVAQ's
@@ -83,15 +81,6 @@ func (Additive) CombineClip(action float64, objects []float64) float64 {
 	return action * objSum
 }
 
-// CombineSeq implements F: the sum of clip scores.
-func (Additive) CombineSeq(clipScores []float64) float64 {
-	s := 0.0
-	for _, v := range clipScores {
-		s += v
-	}
-	return s
-}
-
 // Merge implements the ⊙ operator: addition.
 func (Additive) Merge(a, b float64) float64 { return a + b }
 
@@ -112,17 +101,6 @@ func Default() Functions {
 // scores and is exercised by property tests to show RVAQ's independence
 // from the specific scheme.
 type MaxSeq struct{}
-
-// CombineSeq implements F.
-func (MaxSeq) CombineSeq(clipScores []float64) float64 {
-	best := 0.0
-	for _, v := range clipScores {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
 
 // Merge implements the ⊙ operator: max.
 func (MaxSeq) Merge(a, b float64) float64 {

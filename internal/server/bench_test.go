@@ -6,6 +6,8 @@ import (
 
 	"vaq"
 	"vaq/internal/detect"
+	"vaq/internal/infer"
+	"vaq/internal/resilience"
 	"vaq/internal/synth"
 )
 
@@ -72,6 +74,41 @@ func BenchmarkSessionStepThroughPool(b *testing.B) {
 		err := sess.step(c)
 		<-workers
 		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionStepShared is BenchmarkSessionStep over the default
+// vaqd stack: the engine's detectors are a shared-inference domain's
+// bound flights over resilience over the memo over the raw sims, built
+// through the same inferHub entry the daemon uses. The delta to
+// BenchmarkSessionStep is what shared inference costs a session whose
+// invocations nobody else shares.
+func BenchmarkSessionStepShared(b *testing.B) {
+	qs, err := synth.YouTubeScaled("q2", vaq.DefaultGeometry(), 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scene := qs.World.Scene()
+	hub := newInferHub(infer.Config{CacheCapacity: DefaultInferCache})
+	entry := hub.entry(inferKey{"q2", 0.05, ""}, func(sh *infer.Shared) *resilience.Models {
+		det := sh.Object(detect.AsFallibleObject(detect.NewSimObjectDetector(scene, detect.MaskRCNN, nil)))
+		rec := sh.Action(detect.AsFallibleAction(detect.NewSimActionRecognizer(scene, detect.I3D, nil)))
+		return resilience.WrapFallible(det, rec, resilience.DefaultPolicy(), resilience.Options{})
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stream, err := vaq.NewStreamQuery(qs.Query, entry.objFlight.Bind(ctx), entry.actFlight.Bind(ctx),
+		qs.World.Truth.Meta.Geom, vaq.StreamConfig{Dynamic: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := newSession("bench", CreateSessionRequest{}, stream, b.N, cancel)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < b.N; c++ {
+		if err := sess.step(c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,9 +18,11 @@ type inferKey struct {
 }
 
 // inferEntry is one domain's stack, built once and shared by every
-// session with its key: raw sims → micro-batcher → memo cache → fault
-// injector → resilience → singleflight dedup (the flights). Sessions
-// bind the flights to their own lifetime context.
+// session with its key: raw sims → micro-batcher (when armed) → memo
+// (dedup and cache in one table) → fault injector (when armed) →
+// resilience → flights. The flights only bind the stack to a session's
+// lifetime context: a session that goes away abandons its waits on
+// fills others lead, and finishes any fill it leads itself.
 type inferEntry struct {
 	shared    *infer.Shared
 	models    *resilience.Models

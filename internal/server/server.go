@@ -84,15 +84,16 @@ type Config struct {
 	FallbackChain []string
 	// SharedInference turns on the cross-session shared-inference layer
 	// (package infer): sessions of the same (workload, scale, model)
-	// share one resilient backend stack fronted by singleflight dedup,
-	// with the memo cache and micro-batcher below the fault injector.
+	// share one resilient backend stack, with the memo (dedup of fills
+	// in flight plus resident results) and micro-batcher below the fault
+	// injector.
 	SharedInference bool
-	// InferCache bounds the shared score cache in entries; 0 picks the
+	// InferCache bounds the shared memo's resident entries; 0 picks the
 	// default (65536), negative disables caching (dedup only). Only
 	// meaningful with SharedInference.
 	InferCache int
 	// BatchWindow holds the first invocation of a micro-batch open
-	// waiting for same-label-set companions; 0 disables batching. Only
+	// waiting for same-label-list companions; 0 disables batching. Only
 	// meaningful with SharedInference.
 	BatchWindow time.Duration
 	// BatchMax caps units per vectorized call (default 16).
@@ -504,9 +505,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var build func(ctx context.Context) (*vaq.Stream, *resilience.Models, func() infer.Stats, error)
 	if s.hub != nil {
 		// Shared inference: one backend stack per (workload, scale,
-		// model), fronted by the cross-session flights. Binding the
-		// flights to the session context makes a deleted session abandon
-		// its waits without cancelling calls other sessions share.
+		// model). Binding the flights to the session context makes a
+		// deleted session abandon its waits on fills other sessions lead;
+		// a fill it leads itself runs to the end.
 		entry := s.hub.entry(inferKey{req.Workload, req.Scale, req.Model}, buildModels)
 		build = func(ctx context.Context) (*vaq.Stream, *resilience.Models, func() infer.Stats, error) {
 			stream, err := mkStream(entry.objFlight.Bind(ctx), entry.actFlight.Bind(ctx))

@@ -174,8 +174,8 @@ type streamOptions struct {
 
 // WithSharedInference routes the stream's model invocations through a
 // SharedInference domain: concurrent streams wrapping the same backends
-// coalesce duplicate in-flight calls, share the memoized score cache
-// and ride the same micro-batches. Streams passing the same
+// coalesce duplicate in-flight calls, share the memoized results and
+// ride the same micro-batches. Streams passing the same
 // SharedInference must wrap interchangeable backends (same scene per
 // backend name).
 func WithSharedInference(si *SharedInference) StreamOption {
@@ -200,11 +200,11 @@ func applyStreamOptions(det ObjectDetector, rec ActionRecognizer, opts []StreamO
 // docs/INFERENCE.md for tuning guidance. The zero value enables dedup
 // only (no cache, no batching).
 type SharedInferenceConfig struct {
-	// CacheCapacity bounds the memoized score cache in entries (one per
-	// (backend, unit, label-set) key); <= 0 disables the cache.
+	// CacheCapacity bounds the memo's resident entries (one per
+	// (backend, unit, label) key); <= 0 keeps none resident.
 	CacheCapacity int
 	// BatchWindow holds the first invocation of a micro-batch open
-	// waiting for same-label-set companions; <= 0 disables batching.
+	// waiting for same-label-list companions; <= 0 disables batching.
 	BatchWindow time.Duration
 	// BatchMax caps units per vectorized call (default 16).
 	BatchMax int
@@ -216,7 +216,7 @@ type SharedInferenceConfig struct {
 type InferenceStats = infer.Stats
 
 // SharedInference is a shared-inference domain for library users: one
-// cache, one dedup group and one batch accumulator shared by every
+// memo and one batch accumulator shared by every
 // stream built with WithSharedInference. The serving daemon builds its
 // own domains per (workload, scale, model) — this facade is for
 // embedding the engines directly.
@@ -253,8 +253,8 @@ func (si *SharedInference) Stats() InferenceStats { return si.sh.Stats() }
 
 // WrapDetector routes det through the domain. The first detector seen
 // under each Name() becomes the domain's backend for that name; later
-// detectors with the same name share its flight, cache entries and
-// batches (they must be interchangeable).
+// detectors with the same name share its memo entries and batches (they
+// must be interchangeable).
 func (si *SharedInference) WrapDetector(det ObjectDetector) ObjectDetector {
 	si.mu.Lock()
 	defer si.mu.Unlock()

@@ -244,6 +244,58 @@ func TestTopKGlobalMatchesPerVideoMerge(t *testing.T) {
 	}
 }
 
+// TestSharedInferenceIngestThenSession: ingesting a video through a
+// SharedInference domain (every label on every frame, in one call per
+// frame) leaves one memo entry per (frame, label), so a later session
+// on the video through the same domain pays no backend object call and
+// still reports what a private stack reports.
+func TestSharedInferenceIngestThenSession(t *testing.T) {
+	qs, err := synth.YouTubeScaled("q2", DefaultGeometry(), 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scene, truth := qs.World.Scene(), qs.World.Truth
+	var objMeter detect.CostMeter
+	det := detect.NewSimObjectDetector(scene, detect.MaskRCNN, &objMeter)
+	rec := detect.NewSimActionRecognizer(scene, detect.I3D, nil)
+	si, err := NewSharedInference(SharedInferenceConfig{CacheCapacity: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := IngestVideo(si.WrapDetector(det), si.WrapRecognizer(rec), truth.Meta,
+		truth.ObjectLabels(), truth.ActionLabels(), IngestConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	ingestCalls := objMeter.Calls()
+	if ingestCalls == 0 {
+		t.Fatal("ingest made no object calls")
+	}
+
+	cfg := StreamConfig{Dynamic: true, HorizonClips: truth.Meta.Clips()}
+	run := func(det ObjectDetector, rec ActionRecognizer, opts ...StreamOption) (Sequences, int) {
+		s, err := NewStreamQuery(qs.Query, det, rec, truth.Meta.Geom, cfg, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs, err := s.Run(truth.Meta.Clips())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seqs, s.Invocations()
+	}
+	shared, invocations := run(det, rec, WithSharedInference(si))
+	if calls := objMeter.Calls() - ingestCalls; calls != 0 {
+		t.Fatalf("session after ingest made %d backend object calls, want 0", calls)
+	}
+	if invocations == 0 {
+		t.Fatal("session invoked no detector")
+	}
+	private, _ := run(detect.NewSimObjectDetector(scene, detect.MaskRCNN, nil), detect.NewSimActionRecognizer(scene, detect.I3D, nil))
+	if !shared.Equal(private) {
+		t.Fatalf("session through the ingest-warmed domain: %v, private stack: %v", shared, private)
+	}
+}
+
 // TestSharedInferenceConcurrentSessions runs eight identical sessions
 // concurrently, once with a private detector stack each and once through
 // one SharedInference domain: every session must report the same
