@@ -48,6 +48,17 @@ type InfallibleBackend interface {
 	InfallibleBackend()
 }
 
+// PerLabelConcat marks backends whose result for a label list is each
+// label's own result concatenated in call order, with nothing for a
+// label not asked for; the simulators carry it. A memo (package infer)
+// may then split one multi-label call into per-label entries and serve
+// any later label list from them. Over a backend without the marker it
+// memoizes single-label calls only. The fallible adapters expose the
+// marker of what they adapt through Unwrap.
+type PerLabelConcat interface {
+	PerLabelConcat()
+}
+
 // AsFallibleObject adapts an infallible detector to the fallible
 // interface (never erroring, ignoring ctx). Detectors that already
 // implement FallibleObjectDetector pass through unwrapped.

@@ -73,6 +73,10 @@ func (d *SimObjectDetector) Detect(v video.FrameIdx, labels []annot.Label) []Det
 	return d.detectAll(v, labels)
 }
 
+// PerLabelConcat implements the PerLabelConcat marker: detectAll
+// concatenates each label's own detections in call order.
+func (d *SimObjectDetector) PerLabelConcat() {}
+
 // DetectBatch implements BatchObjectDetector: one metered invocation
 // covering every frame, byte-identical results to per-frame Detect
 // calls (each unit is a pure function of (scene seed, label, frame)).
@@ -209,6 +213,10 @@ func (r *SimActionRecognizer) Recognize(s video.ShotIdx, labels []annot.Label) [
 	r.meter.Add(r.profile.Cost)
 	return r.recognizeAll(s, labels)
 }
+
+// PerLabelConcat implements the PerLabelConcat marker: recognizeAll
+// scores the labels one by one, in call order.
+func (r *SimActionRecognizer) PerLabelConcat() {}
 
 // RecognizeBatch implements BatchActionRecognizer: one metered
 // invocation covering every shot, byte-identical to per-shot Recognize.

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"cmp"
 	"context"
 
 	"vaq/internal/annot"
@@ -40,10 +41,37 @@ func (sh *Shared) ObjectFlight(name string, src ObjectSource) *ObjectFlight {
 // cancelled ctx abandons the session's waits on fills other callers
 // lead.
 func (f *ObjectFlight) Bind(ctx context.Context) detect.ObjectDetector {
-	if ctx == nil {
-		ctx = context.Background()
+	return boundObject{f: f, ctx: bindCtx(ctx)}
+}
+
+// binding is a bound ctx and its twin without cancellation, made once
+// per Bind rather than once per fill the session leads.
+type binding struct{ ctx, detached context.Context }
+
+type bindingKey struct{}
+
+// bindCtx is ctx carrying its binding, when ctx can be cancelled.
+func bindCtx(ctx context.Context) context.Context {
+	if ctx == nil || ctx.Done() == nil {
+		return cmp.Or(ctx, context.Background())
 	}
-	return boundObject{f: f, ctx: ctx}
+	b := &binding{}
+	b.ctx = context.WithValue(ctx, bindingKey{}, b)
+	b.detached = context.WithoutCancel(b.ctx)
+	return b.ctx
+}
+
+// detached is ctx without its cancellation, for a fill its leader must
+// finish. A bound ctx, passed down unchanged (resilience's fast path),
+// has its twin ready; any other ctx is detached here.
+func detached(ctx context.Context) context.Context {
+	if ctx.Done() == nil {
+		return ctx
+	}
+	if b, ok := ctx.Value(bindingKey{}).(*binding); ok && b.ctx == ctx {
+		return b.detached
+	}
+	return context.WithoutCancel(ctx)
 }
 
 type boundObject struct {
@@ -71,10 +99,7 @@ func (sh *Shared) ActionFlight(name string, src ActionSource) *ActionFlight {
 
 // Bind returns the infallible engine-facing recognizer scoped to ctx.
 func (f *ActionFlight) Bind(ctx context.Context) detect.ActionRecognizer {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return boundAction{f: f, ctx: ctx}
+	return boundAction{f: f, ctx: bindCtx(ctx)}
 }
 
 type boundAction struct {

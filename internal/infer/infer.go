@@ -7,31 +7,23 @@
 //
 // Three layers, stacked from the engines down:
 //
-//  1. Session binding (ObjectFlight / ActionFlight). A thin adapter that
-//     binds the resilient detector above the domain to one session's
-//     ctx, so the engines keep calling plain Detect / Recognize. It
-//     does no deduplication of its own.
-//  2. The memo (Shared.Object / Shared.Action): one table per domain,
-//     keyed by (kind, backend, unit, label). The first caller of a
-//     missing entry fills it inline, on its own goroutine; concurrent
-//     callers of an entry in flight wait on it and each leaves on its
-//     own ctx, while the leader always finishes its fill. Every clean
-//     fill stays resident, up to CacheCapacity entries evicted by
-//     second-chance CLOCK. A multi-label call is served from per-label
-//     entries, so ingest (all labels per frame) and sessions (one label
-//     per probe) share them.
-//     The memo sits BELOW the fault injector (package fault): every
-//     engine-visible invocation still passes through fault's
-//     deterministic draws, and corrupted results are never memoized, so
-//     chaos runs are byte-identical with the cache on or off. Over an
-//     infallible backend the memo carries detect.InfallibleBackend, so
-//     resilience keeps its fast path; with a fault schedule armed the
-//     injector sits between them and the marker does not show.
-//  3. Same-profile micro-batching (BatchWindow > 0), below the memo. A
-//     bounded-delay accumulator groups same-label-list unit fills
-//     arriving within BatchWindow (or until BatchMax) into one
-//     vectorized backend call, amortising per-invocation dispatch cost.
-//     Batch results are byte-identical to per-unit calls.
+//  1. Session binding (ObjectFlight / ActionFlight) binds the resilient
+//     detector above the domain to one session's ctx, so the engines
+//     keep calling plain Detect / Recognize. It does no dedup itself.
+//  2. The memo (Shared.Object / Shared.Action): one table per domain of
+//     per-label results. The first caller of a missing key fills it
+//     inline; callers of a key in flight wait on it, each leaving on its
+//     own ctx, while the leader always finishes its fill. Clean fills
+//     stay resident, up to CacheCapacity keys, evicted by second-chance
+//     CLOCK. The memo sits BELOW the fault injector (package fault), so
+//     every engine-visible invocation still passes through fault's
+//     deterministic draws and corrupted results are never memoized;
+//     over an infallible backend it carries detect.InfallibleBackend,
+//     so resilience keeps its fast path.
+//  3. Same-profile micro-batching (BatchWindow > 0), below the memo,
+//     groups same-label-list fills arriving within BatchWindow (or
+//     until BatchMax) into one vectorized call with byte-identical
+//     results.
 //
 // See docs/INFERENCE.md for the stacking contract and tuning guidance.
 package infer
@@ -49,7 +41,7 @@ import (
 // every layer except dedup (fills in flight always coalesce).
 type Config struct {
 	// CacheCapacity bounds the memo's resident entries (one per
-	// (kind, backend, unit, label) key); <= 0 keeps none resident.
+	// (backend, unit, label) key); <= 0 keeps none resident.
 	CacheCapacity int
 	// BatchWindow is how long the accumulator holds the first invocation
 	// of a batch open waiting for companions; <= 0 disables batching.
@@ -102,27 +94,18 @@ func (s *Stats) Add(o Stats) {
 
 // Shared is one shared-inference domain: one memo table shared by
 // every backend wrapped through it, plus a batch accumulator per wrapped
-// backend when batching is armed. All
-// backends of the same Name() wrapped into one Shared must be
-// interchangeable (same scene, same profile); the server's hub
-// guarantees this by keying domains on (workload, scale, model).
+// backend when batching is armed. All backends of the same Name()
+// wrapped into one Shared must be interchangeable (same scene, same
+// profile); the server's hub keys domains on (workload, scale, model).
 type Shared struct {
 	cfg    Config
-	shards []memoShard
+	shards []memoShard // each counts its own memo outcomes; see Stats
 
-	mu       sync.Mutex
-	backends map[string]uint32 // see backendID
+	mu    sync.Mutex
+	names atomic.Pointer[map[string]uint32] // see intern
 
-	hits, misses, leaders, coalesce atomic.Int64
-	admitted, evicted               atomic.Int64
-	batches, batchUnits             atomic.Int64
-
-	// Pre-resolved trace handles (nil-safe when cfg.Tracer is nil): /varz
-	// reads these, Stats() the atomics above; both move together.
-	cHits, cMisses, cAdmit, cEvict *trace.Counter
-	cLeaders, cCoalesced           *trace.Counter
-	cBatches, cBatchUnits          *trace.Counter
-	sBatchSize, sBatchFlush        *trace.Stage
+	batches, batchUnits     atomic.Int64
+	sBatchSize, sBatchFlush *trace.Stage // nil-safe when cfg.Tracer is nil
 }
 
 // Validate rejects unusable configurations. Zero values stay legal
@@ -151,15 +134,21 @@ func New(cfg Config) (*Shared, error) {
 	sh := &Shared{cfg: cfg}
 	sh.initMemo(cfg.CacheCapacity)
 	tr := cfg.Tracer
-	sh.cHits = tr.Counter("infer.cache_hits")
-	sh.cMisses = tr.Counter("infer.cache_misses")
-	sh.cAdmit = tr.Counter("infer.cache_admitted")
-	sh.cEvict = tr.Counter("infer.cache_evicted")
-	tr.Counter("infer.cache_door_rejected") // stays 0, see Stats.DoorRejected
-	sh.cLeaders = tr.Counter("infer.flight_leaders")
-	sh.cCoalesced = tr.Counter("infer.coalesced")
-	sh.cBatches = tr.Counter("infer.batches")
-	sh.cBatchUnits = tr.Counter("infer.batch_units")
+	// /varz reads the counters from Stats at scrape time; domains sharing
+	// a tracer sum into one counter each.
+	for name, f := range map[string]func(Stats) int64{
+		"infer.cache_hits":          func(st Stats) int64 { return st.CacheHits },
+		"infer.cache_misses":        func(st Stats) int64 { return st.CacheMisses },
+		"infer.cache_admitted":      func(st Stats) int64 { return st.Admitted },
+		"infer.cache_evicted":       func(st Stats) int64 { return st.Evicted },
+		"infer.cache_door_rejected": func(st Stats) int64 { return st.DoorRejected },
+		"infer.flight_leaders":      func(st Stats) int64 { return st.Leaders },
+		"infer.coalesced":           func(st Stats) int64 { return st.Coalesced },
+		"infer.batches":             func(st Stats) int64 { return st.Batches },
+		"infer.batch_units":         func(st Stats) int64 { return st.BatchedUnits },
+	} {
+		tr.CounterFunc(name, func() int64 { return f(sh.Stats()) })
+	}
 	sh.sBatchSize = tr.Stage("infer.batch_size")
 	sh.sBatchFlush = tr.Stage("infer.batch_flush")
 	return sh, nil
@@ -178,21 +167,15 @@ func MustNew(cfg Config) *Shared {
 // Config returns the domain's configuration (with defaults applied).
 func (sh *Shared) Config() Config { return sh.cfg }
 
-// Stats snapshots the domain's counters.
+// Stats snapshots the domain's counters. The memo counts under its
+// shard locks; Stats sums the shards.
 func (sh *Shared) Stats() Stats {
-	return Stats{
-		CacheHits:    sh.hits.Load(),
-		CacheMisses:  sh.misses.Load(),
-		Admitted:     sh.admitted.Load(),
-		Evicted:      sh.evicted.Load(),
-		Leaders:      sh.leaders.Load(),
-		Coalesced:    sh.coalesce.Load(),
-		Batches:      sh.batches.Load(),
-		BatchedUnits: sh.batchUnits.Load(),
+	st := Stats{Batches: sh.batches.Load(), BatchedUnits: sh.batchUnits.Load()}
+	for i := range sh.shards {
+		sh.shards[i].mu.Lock()
+		st.Add(sh.shards[i].st)
+		sh.shards[i].mu.Unlock()
 	}
-}
-
-func (sh *Shared) noteLeader() {
-	sh.leaders.Add(1)
-	sh.cLeaders.Add(1)
+	st.Leaders = st.CacheHits + st.CacheMisses
+	return st
 }

@@ -2,6 +2,8 @@ package infer
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"sync"
 
 	"vaq/internal/annot"
@@ -14,270 +16,309 @@ import (
 const memoShards = 16
 
 // memoKey names one memo entry: one label's result on one unit of one
-// backend. kind is 'o' (frame detections) or 'a' (shot scores); backend
-// is the domain's number for the backend's name (see backendID).
+// backend. backend is the interned kind+name ('o' frame detections, 'a'
+// shot scores) and label the interned label, so a key holds no pointer.
 type memoKey struct {
-	kind    byte
+	unit    int64
 	backend uint32
-	unit    int
-	label   annot.Label
+	label   uint32
 }
 
-// entry is one key's result. It enters its shard in flight (filled
-// false) when a caller misses it; that caller fills it inline, and
-// callers finding it in flight wait on wake. The result fields are
-// written once, under the shard lock, and never again: a resident
-// entry is served, never refilled, and an evicted one is dropped.
-type entry struct {
-	key    memoKey
+// hash is k's index tag; its low bits are k's home slot.
+func (k memoKey) hash() uint32 {
+	h := (uint64(k.unit) ^ uint64(k.label)<<40 ^ uint64(k.backend)<<56) * 0xbf58476d1ce4e5b9
+	return uint32((h ^ h>>31) * 0x94d049bb133111eb >> 32)
+}
+
+// results is one key's value: frame detections or shot scores.
+type results struct {
 	dets   []detect.Detection
 	scores []detect.ActionScore
-	err    error
-	filled bool
-	ref    bool          // CLOCK reference bit
-	wake   chan struct{} // made by the first waiter, closed by the filler
 }
 
-// memoShard is one lock's worth of the table: every entry of its keys,
-// in flight or resident, and the bounded resident set. Every clean fill
-// is admitted; eviction is second-chance CLOCK over ring. Admission on
-// fill suits the lockstep cohorts shared inference serves: sessions a
-// few clips apart reuse what the leading one filled, where a doorkeeper
-// rejecting first fills made every follower fill the unit again.
+// slot is r's field for T.
+func slot[T any](r *results) *[]T {
+	if p, ok := any(&r.dets).(*[]T); ok {
+		return p
+	}
+	return any(&r.scores).(*[]T)
+}
+
+// resident is a ring slot: a key, its value and its CLOCK reference bit.
+type resident struct {
+	key memoKey
+	ref bool
+	results
+}
+
+// flight is a fill in progress. The first waiter makes wake; the filler
+// writes the result and closes wake under the shard lock, or reuses it.
+type flight struct {
+	results
+	err  error
+	wake chan struct{}
+}
+
+// memoShard is one lock's worth of the table. ring, the resident set,
+// is the CLOCK ring: it grows to cap, then each admission overwrites the
+// slot the hand picks. index maps keys to ring slots by linear probing,
+// at most half full: a key's hash in the high 32 bits, its ring slot + 1
+// in the low 32 (0 is empty). flights holds only keys being filled.
 type memoShard struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[memoKey]*entry
-	ring    []*entry
+	ring    []resident
 	hand    int
+	index   []uint64
+	flights map[memoKey]*flight
+	spare   []*flight // flights no waiter joined, for reuse
+	st      Stats     // counted under mu; see Shared.Stats
 }
 
 // initMemo sizes the shards for capacity resident entries (<= 0: none,
 // the table then only deduplicates fills in flight).
 func (sh *Shared) initMemo(capacity int) {
-	n := memoShards
+	capacity, n := max(capacity, 0), memoShards
 	if capacity > 0 && capacity < memoShards*256 {
 		n = 1
 	}
-	sh.backends = map[string]uint32{}
+	sh.names.Store(&map[string]uint32{})
 	sh.shards = make([]memoShard, n)
 	for i := range sh.shards {
 		s := &sh.shards[i]
-		if capacity > 0 {
-			s.cap = capacity / n
-			if i < capacity%n {
-				s.cap++
-			}
+		s.cap = capacity / n
+		if i < capacity%n {
+			s.cap++
 		}
-		s.entries = make(map[memoKey]*entry)
+		s.index = make([]uint64, 16)
+		s.flights = make(map[memoKey]*flight)
 	}
 }
 
-// backendID numbers a backend name within the domain, so keys carry a
-// small integer rather than a string to hash and compare.
-func (sh *Shared) backendID(name string) uint32 {
+// intern numbers name within the domain. The table is copy-on-write:
+// calls read it without a lock, and a new name copies it under sh.mu.
+func (sh *Shared) intern(name string) uint32 {
+	if id, ok := (*sh.names.Load())[name]; ok {
+		return id
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	id, ok := sh.backends[name]
-	if !ok {
-		id = uint32(len(sh.backends))
-		sh.backends[name] = id
+	old := *sh.names.Load()
+	if id, ok := old[name]; ok {
+		return id
 	}
-	return id
+	m := maps.Clone(old)
+	m[name] = uint32(len(old))
+	sh.names.Store(&m)
+	return m[name]
 }
 
-// shard is the shard holding k: all labels of one backend's unit share
-// one, chosen by a multiplicative hash of (kind, backend, unit).
-func (sh *Shared) shard(k memoKey) *memoShard {
-	h := (uint64(k.unit) ^ uint64(k.backend)<<40 ^ uint64(k.kind)<<56) * 0x9e3779b97f4a7c15
-	return &sh.shards[(h>>32)%uint64(len(sh.shards))]
+// shard is the shard holding a unit of every backend, with all its
+// labels, chosen by a multiplicative hash.
+func (sh *Shared) shard(unit int64) *memoShard {
+	return &sh.shards[(uint64(unit)*0x9e3779b97f4a7c15>>32)%uint64(len(sh.shards))]
 }
 
-// slot is e's result field for T.
-func slot[T any](e *entry) *[]T {
-	if p, ok := any(&e.dets).(*[]T); ok {
-		return p
-	}
-	return any(&e.scores).(*[]T)
+type memoBackend struct {
+	sh     *Shared
+	id     uint32 // the interned kind+name
+	concat bool   // the backend carries detect.PerLabelConcat
 }
 
-// memoCall serves one unit's labels from the memo. Resident labels are
-// read under their shard's lock. Labels nobody holds are filled inline
-// by this caller, with one backend call on a context that keeps ctx's
-// values but not its cancellation: a leader always finishes its own
-// fill. Labels in flight are waited for until ctx ends. Every caller
-// gets a fresh slice, because engines mutate detections
-// (Tracker.Update).
-//
-// A multi-label fill is split by labelOf into one entry per label. That
-// relies on the backend contract the simulators keep: a call's result is
-// the concatenation, in call order, of each label's own result.
-func memoCall[T any](sh *Shared, ctx context.Context, key memoKey, labels []annot.Label,
+// memoCall serves one unit's labels under one lock of its shard.
+// Resident labels are read there. Labels nobody holds are filled inline
+// by this caller, in one backend call on a ctx without its cancellation:
+// a leader always finishes its fill. Labels in flight are waited for
+// until ctx ends. Every caller gets a fresh slice, because engines
+// mutate detections (Tracker.Update). A multi-label fill is split by
+// labelOf into per-label entries, which equals a direct call only over
+// a backend that declares detect.PerLabelConcat; over any other, a
+// multi-label call goes straight to the backend, a miss filling nothing.
+func memoCall[T any](b *memoBackend, ctx context.Context, unit int64, labels []annot.Label,
 	fill func(context.Context, []annot.Label) ([]T, error), labelOf func(T) annot.Label) ([]T, error) {
-	// es and vals follow labels; a repeated label is served from its
-	// first occurrence. mine and waits index the entries this caller
-	// fills or waits for.
-	var ebuf [4]*entry
+	s := b.sh.shard(unit)
+	if len(labels) > 1 && !b.concat {
+		s.mu.Lock()
+		s.st.CacheMisses++
+		s.mu.Unlock()
+		return fill(ctx, labels)
+	}
+	// keys, vals and fls follow labels, a repeat served from its first
+	// occurrence; mine and waits index the keys this call fills or awaits.
+	var kbuf [4]memoKey
 	var vbuf [4][]T
-	var fbuf, wbuf [4]int
-	es, vals, mine, waits := ebuf[:0], vbuf[:0], fbuf[:0], wbuf[:0]
-	for i, l := range labels {
-		if indexLabel(labels[:i], l) >= 0 {
-			es, vals = append(es, nil), append(vals, nil)
+	var fbuf [4]*flight
+	var mbuf, wbuf [4]int
+	keys, vals, fls, mine, waits := kbuf[:0], vbuf[:0], fbuf[:0], mbuf[:0], wbuf[:0]
+	for _, l := range labels {
+		keys = append(keys, memoKey{unit: unit, backend: b.id, label: b.sh.intern(string(l))})
+	}
+	s.mu.Lock()
+	for i, k := range keys {
+		vals, fls = append(vals, nil), append(fls, nil)
+		if slices.Index(keys, k) < i {
 			continue
 		}
-		key.label = l
-		s := sh.shard(key)
-		s.mu.Lock()
-		e := s.entries[key]
-		var v []T
-		switch {
-		case e == nil:
-			// Spend no inference on a caller that is already gone.
-			if len(mine) == 0 {
-				if err := ctx.Err(); err != nil {
-					s.mu.Unlock()
-					return nil, err
-				}
-			}
-			e = &entry{key: key}
-			s.entries[key] = e
-			mine = append(mine, len(es))
-		case !e.filled:
-			if e.wake == nil {
-				e.wake = make(chan struct{})
-			}
-			waits = append(waits, len(es))
-		default:
-			e.ref = true
-			v = *slot[T](e)
+		if r := s.find(k); r >= 0 {
+			s.ring[r].ref = true
+			vals[i] = *slot[T](&s.ring[r].results)
+			continue
 		}
-		s.mu.Unlock()
-		es, vals = append(es, e), append(vals, v)
+		if f := s.flights[k]; f != nil {
+			if f.wake == nil {
+				f.wake = make(chan struct{})
+			}
+			fls[i], waits = f, append(waits, i)
+			continue
+		}
+		// Spend no inference on a caller that is already gone.
+		if err := ctx.Err(); err != nil && len(mine) == 0 {
+			s.mu.Unlock()
+			return nil, err
+		}
+		if n := len(s.spare); n > 0 {
+			fls[i], s.spare = s.spare[n-1], s.spare[:n-1]
+		} else {
+			fls[i] = new(flight)
+		}
+		s.flights[k], mine = fls[i], append(mine, i)
 	}
-
-	var err error
 	switch {
 	case len(mine) > 0:
-		sh.misses.Add(1)
-		sh.cMisses.Add(1)
-		sh.noteLeader()
-		err = fillMine(sh, ctx, es, vals, mine, labels, fill, labelOf)
+		s.st.CacheMisses++
 	case len(waits) > 0:
-		sh.coalesce.Add(1)
-		sh.cCoalesced.Add(1)
+		s.st.Coalesced++
 	default:
-		sh.hits.Add(1)
-		sh.cHits.Add(1)
-		sh.noteLeader()
+		s.st.CacheHits++
+	}
+	s.mu.Unlock()
+
+	var err error
+	if len(mine) > 0 {
+		missing := labels
+		if len(mine) != len(labels) {
+			missing = make([]annot.Label, len(mine))
+			for j, i := range mine {
+				missing[j] = labels[i]
+			}
+		}
+		var got []T
+		if got, err = fill(detached(ctx), missing); err == nil && len(mine) == 1 {
+			vals[mine[0]] = got
+		} else if err == nil {
+			for _, i := range mine {
+				for _, x := range got {
+					if labelOf(x) == labels[i] {
+						vals[i] = append(vals[i], x)
+					}
+				}
+			}
+		}
+		s.mu.Lock()
+		for _, i := range mine {
+			var r results
+			*slot[T](&r) = vals[i]
+			delete(s.flights, keys[i])
+			if err == nil {
+				s.admit(keys[i], r)
+			}
+			if f := fls[i]; f.wake != nil {
+				f.results, f.err = r, err
+				close(f.wake)
+			} else {
+				s.spare = append(s.spare, f)
+			}
+		}
+		s.mu.Unlock()
 	}
 	for _, i := range waits {
-		e := es[i]
 		select {
-		case <-e.wake:
+		case <-fls[i].wake:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		s := sh.shard(e.key)
-		s.mu.Lock()
-		vals[i] = *slot[T](e)
+		// The filler wrote these before closing wake, and never again.
+		vals[i] = *slot[T](&fls[i].results)
 		if err == nil {
-			err = e.err
+			err = fls[i].err
 		}
-		s.mu.Unlock()
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	n := 0
-	for _, l := range labels {
-		n += len(vals[indexLabel(labels, l)])
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]T, 0, n)
-	for _, l := range labels {
-		out = append(out, vals[indexLabel(labels, l)]...)
+	var out []T
+	for _, k := range keys {
+		out = append(out, vals[slices.Index(keys, k)]...)
 	}
 	return out, nil
 }
 
-// fillMine makes the one backend call for the entries this caller
-// owns, publishes each entry's share and records it in vals.
-func fillMine[T any](sh *Shared, ctx context.Context, es []*entry, vals [][]T, mine []int, labels []annot.Label,
-	fill func(context.Context, []annot.Label) ([]T, error), labelOf func(T) annot.Label) error {
-	missing := labels
-	if len(mine) != len(labels) {
-		missing = make([]annot.Label, len(mine))
-		for j, i := range mine {
-			missing[j] = es[i].key.label
-		}
-	}
-	if ctx.Done() != nil {
-		ctx = context.WithoutCancel(ctx)
-	}
-	got, err := fill(ctx, missing)
-	for _, i := range mine {
-		e, v := es[i], got
-		if err != nil {
-			v = nil
-		} else if len(mine) > 1 {
-			v = nil
-			for _, x := range got {
-				if labelOf(x) == e.key.label {
-					v = append(v, x)
-				}
-			}
-		}
-		vals[i] = v
-		s := sh.shard(e.key)
-		s.mu.Lock()
-		*slot[T](e) = v
-		e.err, e.filled = err, true
-		if e.wake != nil {
-			close(e.wake)
-		}
-		if err != nil || !s.admit(sh, e) {
-			delete(s.entries, e.key)
-		}
-		s.mu.Unlock()
-	}
-	return err
-}
-
-// admit makes a freshly filled entry resident, evicting by second-chance
+// admit makes a freshly filled key resident, evicting by second-chance
 // CLOCK when the shard is full; the caller holds s.mu.
-func (s *memoShard) admit(sh *Shared, e *entry) bool {
+func (s *memoShard) admit(k memoKey, r results) {
 	if s.cap == 0 {
-		return false
+		return
 	}
 	if len(s.ring) < s.cap {
-		s.ring = append(s.ring, e)
+		if len(s.ring) == cap(s.ring) { // double, never past cap
+			s.ring = append(make([]resident, 0, min(s.cap, max(16, 2*len(s.ring)))), s.ring...)
+		}
+		if 2*(len(s.ring)+1) > len(s.index) {
+			s.index = make([]uint64, 2*len(s.index))
+			for i := range s.ring {
+				s.place(s.ring[i].key, i)
+			}
+		}
+		s.ring = append(s.ring, resident{key: k, results: r})
+		s.place(k, len(s.ring)-1)
 	} else {
-		// Advance the hand, spending reference bits, to the first entry
-		// without a second chance; the new entry takes its slot.
+		// The new key takes the first slot the hand finds without a ref.
 		for s.ring[s.hand].ref {
 			s.ring[s.hand].ref = false
 			s.hand = (s.hand + 1) % s.cap
 		}
-		delete(s.entries, s.ring[s.hand].key)
-		sh.evicted.Add(1)
-		sh.cEvict.Add(1)
-		s.ring[s.hand] = e
+		s.unplace(s.ring[s.hand].key, s.hand)
+		s.ring[s.hand] = resident{key: k, results: r}
+		s.place(k, s.hand)
+		s.st.Evicted++
 		s.hand = (s.hand + 1) % s.cap
 	}
-	sh.admitted.Add(1)
-	sh.cAdmit.Add(1)
-	return true
+	s.st.Admitted++
 }
 
-func indexLabel(ls []annot.Label, l annot.Label) int {
-	for i, x := range ls {
-		if x == l {
-			return i
+// find returns k's ring slot, or -1 when k is not resident.
+func (s *memoShard) find(k memoKey) int {
+	tag, mask := k.hash(), uint32(len(s.index)-1)
+	for i := tag & mask; s.index[i] != 0; i = (i + 1) & mask {
+		if r := uint32(s.index[i]) - 1; uint32(s.index[i]>>32) == tag && s.ring[r].key == k {
+			return int(r)
 		}
 	}
 	return -1
+}
+
+// place indexes k at ring slot r.
+func (s *memoShard) place(k memoKey, r int) {
+	tag, mask := k.hash(), uint32(len(s.index)-1)
+	i := tag & mask
+	for s.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.index[i] = uint64(tag)<<32 | uint64(r+1)
+}
+
+// unplace drops k, at ring slot r, from the index by backward shift:
+// later keys of its probe run whose home allows it move into the hole.
+func (s *memoShard) unplace(k memoKey, r int) {
+	tag, mask := k.hash(), uint32(len(s.index)-1)
+	i := tag & mask
+	for s.index[i] != uint64(tag)<<32|uint64(r+1) {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		if home := uint32(s.index[j]>>32) & mask; (j-home)&mask >= (j-i)&mask {
+			s.index[i], i = s.index[j], j
+		}
+	}
+	s.index[i] = 0
 }

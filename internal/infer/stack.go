@@ -23,7 +23,7 @@ func (sh *Shared) Object(backend detect.FallibleObjectDetector) detect.FallibleO
 	if sh.cfg.BatchWindow > 0 {
 		inner = sh.newBatchedObject(inner)
 	}
-	m := &memoObject{inner: inner, sh: sh, name: backend.Name(), key: memoKey{kind: 'o', backend: sh.backendID(backend.Name())}}
+	m := &memoObject{inner: inner, b: &memoBackend{sh, sh.intern("o" + backend.Name()), perLabelConcat[detect.ObjectDetector](backend)}}
 	if _, ok := inner.(detect.InfallibleBackend); ok {
 		return infallibleMemoObject{m}
 	}
@@ -36,26 +36,32 @@ func (sh *Shared) Action(backend detect.FallibleActionRecognizer) detect.Fallibl
 	if sh.cfg.BatchWindow > 0 {
 		inner = sh.newBatchedAction(inner)
 	}
-	m := &memoAction{inner: inner, sh: sh, name: backend.Name(), key: memoKey{kind: 'a', backend: sh.backendID(backend.Name())}}
+	m := &memoAction{inner: inner, b: &memoBackend{sh, sh.intern("a" + backend.Name()), perLabelConcat[detect.ActionRecognizer](backend)}}
 	if _, ok := inner.(detect.InfallibleBackend); ok {
 		return infallibleMemoAction{m}
 	}
 	return m
 }
 
-type memoObject struct {
-	inner detect.FallibleObjectDetector
-	sh    *Shared
-	name  string
-	key   memoKey // kind and backend; memoCall sets unit and label
+// perLabelConcat reports whether backend, or the D a fallible adapter
+// wraps (Unwrap), declares detect.PerLabelConcat.
+func perLabelConcat[D any](backend any) bool {
+	if u, ok := backend.(interface{ Unwrap() D }); ok {
+		backend = u.Unwrap()
+	}
+	_, ok := backend.(detect.PerLabelConcat)
+	return ok
 }
 
-func (m *memoObject) Name() string { return m.name }
+type memoObject struct {
+	inner detect.FallibleObjectDetector
+	b     *memoBackend
+}
+
+func (m *memoObject) Name() string { return m.inner.Name() }
 
 func (m *memoObject) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, error) {
-	key := m.key
-	key.unit = int(v)
-	return memoCall(m.sh, ctx, key, labels,
+	return memoCall(m.b, ctx, int64(v), labels,
 		func(ctx context.Context, ls []annot.Label) ([]detect.Detection, error) {
 			return m.inner.DetectCtx(ctx, v, ls)
 		},
@@ -71,17 +77,13 @@ func (infallibleMemoObject) InfallibleBackend() {}
 
 type memoAction struct {
 	inner detect.FallibleActionRecognizer
-	sh    *Shared
-	name  string
-	key   memoKey // kind and backend; memoCall sets unit and label
+	b     *memoBackend
 }
 
-func (m *memoAction) Name() string { return m.name }
+func (m *memoAction) Name() string { return m.inner.Name() }
 
 func (m *memoAction) RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, error) {
-	key := m.key
-	key.unit = int(s)
-	return memoCall(m.sh, ctx, key, labels,
+	return memoCall(m.b, ctx, int64(s), labels,
 		func(ctx context.Context, ls []annot.Label) ([]detect.ActionScore, error) {
 			return m.inner.RecognizeCtx(ctx, s, ls)
 		},
@@ -189,8 +191,6 @@ func (b *batchedAction) RecognizeCtx(ctx context.Context, s video.ShotIdx, label
 func (sh *Shared) observeFlush(n int, d time.Duration) {
 	sh.batches.Add(1)
 	sh.batchUnits.Add(int64(n))
-	sh.cBatches.Add(1)
-	sh.cBatchUnits.Add(int64(n))
 	sh.sBatchSize.Observe(time.Duration(n) * time.Microsecond)
 	sh.sBatchFlush.Observe(d)
 }

@@ -29,6 +29,9 @@ type fakeObj struct {
 
 func (f *fakeObj) Name() string { return f.name }
 
+// PerLabelConcat declares the contract perLabel keeps.
+func (f *fakeObj) PerLabelConcat() {}
+
 func (f *fakeObj) setErr(err error) {
 	f.mu.Lock()
 	f.err = err

@@ -42,12 +42,19 @@ func TestSharedInferenceAcrossSessions(t *testing.T) {
 		t.Fatal("second session produced no sequences field")
 	}
 
-	// Both sessions share one (workload, scale, model) domain.
+	// Both sessions share one (workload, scale, model) domain, and one
+	// generated workload.
 	srv.hub.mu.Lock()
 	domains := len(srv.hub.entries)
 	srv.hub.mu.Unlock()
 	if domains != 1 {
 		t.Fatalf("inference domains = %d, want 1 (identical sessions must share)", domains)
+	}
+	srv.wlMu.Lock()
+	workloads := len(srv.workloads)
+	srv.wlMu.Unlock()
+	if workloads != 1 {
+		t.Fatalf("generated workloads = %d, want 1 (identical sessions must share)", workloads)
 	}
 
 	var m MetricsResponse

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -160,6 +161,15 @@ type Server struct {
 	hist   *healthHistory
 	bounds *boundRegistry // cross-process B_lo^K exchanges (shard tier)
 	qseq   atomic.Int64   // top-k query id mint (q1, q2, ...)
+
+	wlMu      sync.Mutex
+	workloads map[workloadKey]*synth.QuerySet // see workload
+}
+
+// workloadKey names one generated workload.
+type workloadKey struct {
+	name  string
+	scale float64
 }
 
 // New builds a server and its routes.
@@ -174,6 +184,8 @@ func New(cfg Config) *Server {
 		ring:   explain.NewRing(cfg.ExplainRing),
 		hist:   newHealthHistory(),
 		bounds: newBoundRegistry(),
+
+		workloads: map[workloadKey]*synth.QuerySet{},
 	}
 	s.reg.SetTracer(cfg.Tracer)
 	s.reg.SetExplainRing(s.ring)
@@ -340,6 +352,31 @@ func writeErr(w http.ResponseWriter, status int, code, msg string, queryErr erro
 	writeJSON(w, status, ErrorResponse{Error: body})
 }
 
+// workload is loadWorkload once per (name, scale). Generation is
+// deterministic and its result is only read, so sessions share it. It
+// costs milliseconds at full scale, which a round of concurrent creates
+// would otherwise each pay, staggering the sessions' starts.
+func (s *Server) workload(name string, scale float64) (*synth.QuerySet, error) {
+	k := workloadKey{name, scale}
+	s.wlMu.Lock()
+	qs, ok := s.workloads[k]
+	s.wlMu.Unlock()
+	if ok {
+		return qs, nil
+	}
+	qs, err := loadWorkload(name, scale)
+	if err != nil {
+		return nil, err
+	}
+	s.wlMu.Lock()
+	defer s.wlMu.Unlock()
+	if prev, ok := s.workloads[k]; ok {
+		return prev, nil
+	}
+	s.workloads[k] = qs
+	return qs, nil
+}
+
 // loadWorkload resolves a synthetic workload name (q1..q12 or a movie)
 // exactly as the CLIs do.
 func loadWorkload(name string, scale float64) (*synth.QuerySet, error) {
@@ -401,7 +438,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "max_clips and pace_ms must be non-negative", nil)
 		return
 	}
-	qs, err := loadWorkload(req.Workload, req.Scale)
+	qs, err := s.workload(req.Workload, req.Scale)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "unknown_workload", err.Error(), nil)
 		return

@@ -16,6 +16,7 @@ package svaq
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"vaq/internal/annot"
@@ -207,8 +208,10 @@ type Engine struct {
 	relAt   int
 	counts  []int // backs ClipResult.Counts
 
-	nextClip    video.ClipIdx
-	indicators  []bool
+	nextClip video.ClipIdx
+	// seqs is the result set over the clips processed so far, extended
+	// as each clip lands (see Sequences).
+	seqs        interval.Set
 	invocations int
 
 	// planner outcome accounting (Config.Plan)
@@ -440,7 +443,13 @@ func (e *Engine) ProcessClip(c video.ClipIdx) (ClipResult, error) {
 	if err != nil {
 		return ClipResult{}, err
 	}
-	e.indicators = append(e.indicators, res.Positive)
+	if res.Positive {
+		if n := len(e.seqs); n > 0 && e.seqs[n-1].Hi == int(c)-1 {
+			e.seqs[n-1].Hi++
+		} else {
+			e.seqs = append(e.seqs, interval.Interval{Lo: int(c), Hi: int(c)})
+		}
+	}
 	e.invocations += res.Invocations
 	return res, nil
 }
@@ -580,9 +589,10 @@ func (e *Engine) Run(nclips int) (interval.Set, error) {
 }
 
 // Sequences returns the result sequences over the clips processed so
-// far: maximal runs of positive clips (Equation 4).
+// far: maximal runs of positive clips (Equation 4). The set is kept as
+// clips land, so this is a copy of it, not a pass over every clip.
 func (e *Engine) Sequences() interval.Set {
-	return interval.FromIndicators(e.indicators)
+	return slices.Clone(e.seqs)
 }
 
 // Invocations returns the total number of model invocations so far

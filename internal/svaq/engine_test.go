@@ -1,6 +1,7 @@
 package svaq
 
 import (
+	"reflect"
 	"testing"
 
 	"vaq/internal/annot"
@@ -262,5 +263,37 @@ func TestRunIdempotentContinuation(t *testing.T) {
 	}
 	if !seqs.Equal(want) {
 		t.Fatalf("piecewise run differs: %v vs %v", seqs, want)
+	}
+}
+
+// TestSequencesIncremental: the result set the engine extends as each
+// clip lands equals interval.FromIndicators over every clip's indicator
+// so far, after every clip, and each call hands out its own copy.
+func TestSequencesIncremental(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		scene, q := testWorld(t, seed)
+		clips := scene.Truth.Meta.Clips()
+		e := engines(t, scene, q, Config{HorizonClips: clips, Dynamic: seed == 3})
+		var ind []bool
+		for c := 0; c < clips; c++ {
+			res, err := e.ProcessClip(video.ClipIdx(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ind = append(ind, res.Positive)
+			got, want := e.Sequences(), interval.FromIndicators(ind)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d clip %d: incremental %v, from indicators %v", seed, c, got, want)
+			}
+			if len(got) > 0 {
+				got[0].Lo = -1
+				if e.Sequences()[0].Lo == -1 {
+					t.Fatalf("seed %d clip %d: Sequences shares the engine's set", seed, c)
+				}
+			}
+		}
+		if n := len(e.Sequences()); n < 2 {
+			t.Fatalf("seed %d: %d result sequences, the check saw too few runs", seed, n)
+		}
 	}
 }

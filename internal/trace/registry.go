@@ -11,9 +11,12 @@ import (
 
 // Counter is a cumulative pipeline-stage counter. Handles are resolved
 // once (per engine or query) and bumped lock-free on the hot path; a
-// nil *Counter (from a nil tracer) is a no-op.
+// nil *Counter (from a nil tracer) is a no-op. A layer that already
+// counts under its own locks registers a CounterFunc instead, and the
+// counter reads the sum of its own count and every registered func.
 type Counter struct {
-	n atomic.Int64
+	n     atomic.Int64
+	funcs atomic.Pointer[[]func() int64] // copy-on-write, see CounterFunc
 }
 
 // Add increments the counter by d.
@@ -29,7 +32,13 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.n.Load()
+	v := c.n.Load()
+	if fs := c.funcs.Load(); fs != nil {
+		for _, f := range *fs {
+			v += f()
+		}
+	}
+	return v
 }
 
 // Counter resolves (creating on first use) the named counter. On a nil
@@ -43,6 +52,29 @@ func (t *Tracer) Counter(name string) *Counter {
 	}
 	c, _ := t.counters.LoadOrStore(name, &Counter{})
 	return c.(*Counter)
+}
+
+// CounterFunc adds f to the named counter: each read of the counter
+// (Value, Counters, /varz) calls f and adds its result. Several funcs
+// may register under one name, as every domain sharing a tracer does;
+// the counter then reads their sum. f must be safe to call from any
+// goroutine.
+func (t *Tracer) CounterFunc(name string, f func() int64) {
+	if t == nil {
+		return
+	}
+	c := t.Counter(name)
+	for {
+		old := c.funcs.Load()
+		var fs []func() int64
+		if old != nil {
+			fs = append(fs, *old...)
+		}
+		fs = append(fs, f)
+		if c.funcs.CompareAndSwap(old, &fs) {
+			return
+		}
+	}
 }
 
 // Add bumps the named counter (handle resolution included — prefer

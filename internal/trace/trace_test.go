@@ -126,6 +126,38 @@ func TestCountersAndStagesConcurrent(t *testing.T) {
 	}
 }
 
+// TestCounterFunc: a counter reads its own count plus every registered
+// func, through Value, Counters and /varz alike, and registration races
+// with reads without losing a func.
+func TestCounterFunc(t *testing.T) {
+	tr := New()
+	tr.CounterFunc("pulled", func() int64 { return 5 })
+	tr.Counter("pulled").Add(1)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr.CounterFunc("pulled", func() int64 { return 10 })
+			_ = tr.Counters()
+		}()
+	}
+	wg.Wait()
+	if got := tr.Counter("pulled").Value(); got != 46 {
+		t.Fatalf("Value = %d, want 1 + 5 + 4*10", got)
+	}
+	if got := tr.Counters()["pulled"]; got != 46 {
+		t.Fatalf("Counters = %d, want 46", got)
+	}
+	var buf bytes.Buffer
+	tr.WriteVarz(&buf)
+	if !strings.Contains(buf.String(), "vaq_pulled 46\n") {
+		t.Fatalf("varz lacks the pulled counter:\n%s", buf.String())
+	}
+	var nilTr *Tracer
+	nilTr.CounterFunc("pulled", func() int64 { return 1 }) // no-op
+}
+
 func TestWriteVarz(t *testing.T) {
 	tr := New()
 	tr.Counter("rvaq.clips_pruned").Add(12)

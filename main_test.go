@@ -1,0 +1,9 @@
+package vaq
+
+import (
+	"testing"
+
+	"vaq/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

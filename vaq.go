@@ -254,7 +254,11 @@ func (si *SharedInference) Stats() InferenceStats { return si.sh.Stats() }
 // WrapDetector routes det through the domain. The first detector seen
 // under each Name() becomes the domain's backend for that name; later
 // detectors with the same name share its memo entries and batches (they
-// must be interchangeable).
+// must be interchangeable). Single-label calls are memoized for any
+// detector. A multi-label call is served from per-label entries only
+// when det declares, with a PerLabelConcat() method as the simulators
+// do, that its result is each label's own result concatenated in call
+// order; otherwise it reaches det unchanged.
 func (si *SharedInference) WrapDetector(det ObjectDetector) ObjectDetector {
 	si.mu.Lock()
 	defer si.mu.Unlock()

@@ -3,12 +3,15 @@ package vaq
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"vaq/internal/detect"
 	"vaq/internal/metrics"
 	"vaq/internal/synth"
+	"vaq/internal/video"
 )
 
 func quickWorld(t *testing.T) (*synth.QuerySet, ObjectDetector, ActionRecognizer) {
@@ -293,6 +296,73 @@ func TestSharedInferenceIngestThenSession(t *testing.T) {
 	private, _ := run(detect.NewSimObjectDetector(scene, detect.MaskRCNN, nil), detect.NewSimActionRecognizer(scene, detect.I3D, nil))
 	if !shared.Equal(private) {
 		t.Fatalf("session through the ingest-warmed domain: %v, private stack: %v", shared, private)
+	}
+}
+
+// scoreOrdered is a library detector that orders its detections by
+// score across labels: it does not keep the per-label contract
+// (detect.PerLabelConcat) the simulators declare.
+type scoreOrdered struct{ d *detect.SimObjectDetector }
+
+func (s scoreOrdered) Name() string { return s.d.Name() }
+
+func (s scoreOrdered) Detect(v video.FrameIdx, labels []Label) []detect.Detection {
+	dets := s.d.Detect(v, labels)
+	sort.SliceStable(dets, func(i, j int) bool { return dets[i].Score > dets[j].Score })
+	return dets
+}
+
+// TestSharedInferenceScoreOrderedDetector: a detector that interleaves
+// labels gives the same ingest (every label per frame), the same stream
+// results and the same multi-label detections, in the same order, with
+// and without WithSharedInference. Serving its multi-label calls from
+// per-label entries would reorder the detections Tracker.Update matches
+// greedily.
+func TestSharedInferenceScoreOrderedDetector(t *testing.T) {
+	qs, err := synth.YouTubeScaled("q2", DefaultGeometry(), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scene, truth := qs.World.Scene(), qs.World.Truth
+	det := scoreOrdered{detect.NewSimObjectDetector(scene, detect.MaskRCNN, nil)}
+	rec := detect.NewSimActionRecognizer(scene, detect.I3D, nil)
+	si, err := NewSharedInference(SharedInferenceConfig{CacheCapacity: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestWith := func(det ObjectDetector, rec ActionRecognizer) *VideoData {
+		vd, err := IngestVideo(det, rec, truth.Meta, truth.ObjectLabels(), truth.ActionLabels(), IngestConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vd
+	}
+	if private, shared := ingestWith(det, rec), ingestWith(si.WrapDetector(det), si.WrapRecognizer(rec)); !reflect.DeepEqual(private, shared) {
+		t.Fatalf("ingest through the domain differs from the private ingest (%d vs %d tracks)", shared.TracksOpened, private.TracksOpened)
+	}
+	cfg := StreamConfig{Dynamic: true, HorizonClips: truth.Meta.Clips()}
+	run := func(opts ...StreamOption) Sequences {
+		s, err := NewStreamQuery(qs.Query, det, rec, truth.Meta.Geom, cfg, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs, err := s.Run(truth.Meta.Clips())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seqs
+	}
+	if private, shared := run(), run(WithSharedInference(si)); !reflect.DeepEqual(private, shared) {
+		t.Fatalf("stream through the domain: %v, private: %v", shared, private)
+	}
+	if st := si.Stats(); st.CacheHits == 0 || st.CacheMisses == 0 {
+		t.Fatalf("stats %+v: the stream never used the domain", st)
+	}
+	wrapped, labels := si.WrapDetector(det), truth.ObjectLabels()
+	for v := video.FrameIdx(0); int(v) < truth.Meta.Frames; v++ {
+		if got, want := wrapped.Detect(v, labels), det.Detect(v, labels); !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d %v through the domain: %v, direct: %v", v, labels, got, want)
+		}
 	}
 }
 
