@@ -3,11 +3,14 @@ package ingest
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"vaq/internal/annot"
 	"vaq/internal/interval"
@@ -277,10 +280,14 @@ func Load(dir string) (*VideoData, error) {
 	return vd, nil
 }
 
-// Repository manages a directory of ingested videos.
+// Repository manages a directory of ingested videos. Readers take the
+// current video map without a lock; Add and Remove copy it under mu and
+// publish the copy, so a query holds a consistent snapshot while the
+// repository changes under it.
 type Repository struct {
 	dir    string
-	videos map[string]*VideoData
+	mu     sync.Mutex // serializes writers
+	videos atomic.Pointer[map[string]*VideoData]
 }
 
 // OpenRepository loads every video directory under dir (creating dir if
@@ -289,7 +296,7 @@ func OpenRepository(dir string) (*Repository, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ingest: mkdir %s: %w", dir, err)
 	}
-	r := &Repository{dir: dir, videos: map[string]*VideoData{}}
+	videos := map[string]*VideoData{}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: read repository: %w", err)
@@ -302,45 +309,58 @@ func OpenRepository(dir string) (*Repository, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingest: load video %s: %w", e.Name(), err)
 		}
-		r.videos[e.Name()] = vd
+		videos[e.Name()] = vd
 	}
+	r := &Repository{dir: dir}
+	r.videos.Store(&videos)
 	return r, nil
 }
 
 // Add ingest-saves a video into the repository and registers it.
 func (r *Repository) Add(name string, vd *VideoData) error {
-	if _, exists := r.videos[name]; exists {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := *r.videos.Load()
+	if _, exists := old[name]; exists {
 		return fmt.Errorf("ingest: video %q already in repository", name)
 	}
 	if err := vd.Save(filepath.Join(r.dir, sanitize(name))); err != nil {
 		return err
 	}
-	r.videos[name] = vd
+	videos := maps.Clone(old)
+	videos[name] = vd
+	r.videos.Store(&videos)
 	return nil
 }
 
 // Remove deletes a video's metadata from the repository.
 func (r *Repository) Remove(name string) error {
-	if _, exists := r.videos[name]; !exists {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := *r.videos.Load()
+	if _, exists := old[name]; !exists {
 		return fmt.Errorf("ingest: video %q not in repository", name)
 	}
 	if err := os.RemoveAll(filepath.Join(r.dir, sanitize(name))); err != nil {
 		return err
 	}
-	delete(r.videos, name)
+	videos := maps.Clone(old)
+	delete(videos, name)
+	r.videos.Store(&videos)
 	return nil
 }
 
 // Video returns one video's metadata.
 func (r *Repository) Video(name string) (*VideoData, bool) {
-	vd, ok := r.videos[name]
+	vd, ok := (*r.videos.Load())[name]
 	return vd, ok
 }
 
 // Names lists the repository's videos in sorted order.
 func (r *Repository) Names() []string {
-	out := make([]string, 0, len(r.videos))
-	for n := range r.videos {
+	videos := *r.videos.Load()
+	out := make([]string, 0, len(videos))
+	for n := range videos {
 		out = append(out, n)
 	}
 	sort.Strings(out)

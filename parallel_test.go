@@ -354,3 +354,53 @@ func BenchmarkTopKGlobalWorkers(b *testing.B) {
 		})
 	}
 }
+
+// TestRepositoryConcurrentAddRemove runs Add/Remove cycles against
+// pinned and global top-k on one repository. Under -race it proves the
+// video map is safe to read while it is written; a query that meets a
+// video removed after its names snapshot fails with ErrVideoNotFound.
+func TestRepositoryConcurrentAddRemove(t *testing.T) {
+	repo, q := multiRepo(t, 3, 0.05)
+	extra, ok := repo.repo.Video("v02")
+	if !ok {
+		t.Fatal("v02 not in repository")
+	}
+	if err := repo.Remove("v02"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 20; i++ {
+			if err := repo.Add("v02", extra); err != nil {
+				done <- err
+				return
+			}
+			if err := repo.Remove("v02"); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		for _, name := range []string{"v00", "v02"} {
+			if _, _, err := repo.TopKOpts(name, q, 3, ExecOptions{}); err != nil && !errors.Is(err, ErrVideoNotFound) {
+				t.Fatalf("TopKOpts(%s): %v", name, err)
+			}
+		}
+		if _, _, err := repo.TopKGlobalOpts(q, 3, ExecOptions{}); err != nil && !errors.Is(err, ErrVideoNotFound) {
+			t.Fatalf("TopKGlobalOpts: %v", err)
+		}
+	}
+	if got := repo.Videos(); len(got) != 2 {
+		t.Errorf("videos after the cycles = %v, want v00 and v01", got)
+	}
+}
