@@ -77,22 +77,13 @@ type ActionRecognizer interface {
 	Recognize(s video.ShotIdx, labels []annot.Label) []ActionScore
 }
 
-// BatchObjectDetector is the optional vectorized face of an object
-// detector: one call scores many frames for the same label set,
-// amortising per-invocation overhead (GPU batch dispatch in the real
-// systems the paper cites). DetectBatch(vs, labels)[i] must be
-// byte-identical to Detect(vs[i], labels) — batching is a cost
-// optimisation, never a semantic one.
-type BatchObjectDetector interface {
-	ObjectDetector
-	DetectBatch(vs []video.FrameIdx, labels []annot.Label) [][]Detection
-}
-
-// BatchActionRecognizer is the shot-level counterpart of
-// BatchObjectDetector.
-type BatchActionRecognizer interface {
-	ActionRecognizer
-	RecognizeBatch(ss []video.ShotIdx, labels []annot.Label) [][]ActionScore
+// Batcher is the optional vectorized face of a model: one call scores
+// many units for the same label set, amortising per-invocation overhead
+// (GPU batch dispatch in the real systems the paper cites).
+// DetectBatch(us, labels)[i] must be byte-identical to scoring us[i]
+// alone — batching is a cost optimisation, never a semantic one.
+type Batcher[U Unit, R Result] interface {
+	DetectBatch(us []U, labels []annot.Label) [][]R
 }
 
 // ScoreDist is a simple symmetric score distribution: Mean ± Spread

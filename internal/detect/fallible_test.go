@@ -41,8 +41,8 @@ func TestInfallibleAdaptersHonourCancelledCtx(t *testing.T) {
 
 	act := &countAct{}
 	fa := AsFallibleAction(act)
-	if scores, err := fa.RecognizeCtx(ctx, 0, []annot.Label{"running"}); !errors.Is(err, context.Canceled) || scores != nil {
-		t.Fatalf("RecognizeCtx = %v, %v; want nil, context.Canceled", scores, err)
+	if scores, err := fa.DetectCtx(ctx, 0, []annot.Label{"running"}); !errors.Is(err, context.Canceled) || scores != nil {
+		t.Fatalf("DetectCtx = %v, %v; want nil, context.Canceled", scores, err)
 	}
 	if act.calls != 0 {
 		t.Fatalf("recognizer invoked %d times under a cancelled ctx, want 0", act.calls)
@@ -58,9 +58,9 @@ func TestInfallibleAdaptersInvokeWithLiveCtx(t *testing.T) {
 	}
 	act := &countAct{}
 	fa := AsFallibleAction(act)
-	scores, err := fa.RecognizeCtx(context.Background(), 0, []annot.Label{"running"})
+	scores, err := fa.DetectCtx(context.Background(), 0, []annot.Label{"running"})
 	if err != nil || len(scores) != 1 || act.calls != 1 {
-		t.Fatalf("RecognizeCtx = %v, %v (calls %d)", scores, err, act.calls)
+		t.Fatalf("DetectCtx = %v, %v (calls %d)", scores, err, act.calls)
 	}
 }
 

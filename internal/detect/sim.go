@@ -77,9 +77,9 @@ func (d *SimObjectDetector) Detect(v video.FrameIdx, labels []annot.Label) []Det
 // concatenates each label's own detections in call order.
 func (d *SimObjectDetector) PerLabelConcat() {}
 
-// DetectBatch implements BatchObjectDetector: one metered invocation
-// covering every frame, byte-identical results to per-frame Detect
-// calls (each unit is a pure function of (scene seed, label, frame)).
+// DetectBatch implements Batcher: one metered invocation covering
+// every frame, byte-identical results to per-frame Detect calls (each
+// unit is a pure function of (scene seed, label, frame)).
 func (d *SimObjectDetector) DetectBatch(vs []video.FrameIdx, labels []annot.Label) [][]Detection {
 	if len(vs) == 0 {
 		return nil
@@ -101,7 +101,7 @@ func (d *SimObjectDetector) detectAll(v video.FrameIdx, labels []annot.Label) []
 }
 
 func (d *SimObjectDetector) detectLabel(v video.FrameIdx, label annot.Label) []Detection {
-	key := hashKey(d.scene.Seed, "obj:"+string(label), int64(v))
+	key := HashKey(d.scene.Seed, "obj:"+string(label), int64(v))
 	truth := d.scene.Truth.Objects[label]
 	tpr, fprBase, fprDistract := effectiveRates(d.profile, d.scene.accuracy(label))
 	if ep, ok := truth.Find(int(v)); ok {
@@ -112,7 +112,7 @@ func (d *SimObjectDetector) detectLabel(v video.FrameIdx, label annot.Label) []D
 	if d.scene.ObjectDistractors[label].Contains(int(v)) {
 		fpr = fprDistract
 	}
-	if unitRand(key, 0) >= clamp01(fpr) {
+	if UnitRand(key, 0) >= clamp01(fpr) {
 		return nil
 	}
 	u1, u2 := gaussPair(key, 1)
@@ -128,12 +128,12 @@ func (d *SimObjectDetector) detectLabel(v video.FrameIdx, label annot.Label) []D
 // probability TPR and follows a smooth deterministic trajectory so a
 // tracker downstream has realistic work.
 func (d *SimObjectDetector) truePositives(v video.FrameIdx, label annot.Label, ep interval.Interval, key uint64, tpr float64) []Detection {
-	epKey := hashKey(d.scene.Seed, "ep:"+string(label), int64(ep.Lo))
+	epKey := HashKey(d.scene.Seed, "ep:"+string(label), int64(ep.Lo))
 	instances := 1 + int(splitmix64(epKey)%2) // 1 or 2 instances per episode
 	var out []Detection
 	for i := 0; i < instances; i++ {
 		// One independent draw per instance per frame.
-		if unitRand(key, uint64(10+3*i)) >= tpr {
+		if UnitRand(key, uint64(10+3*i)) >= tpr {
 			continue
 		}
 		u1, u2 := gaussPair(key, uint64(11+3*i))
@@ -150,12 +150,12 @@ func (d *SimObjectDetector) truePositives(v video.FrameIdx, label annot.Label, e
 // episode: constant-velocity motion reflecting off the frame borders.
 func trajectoryBox(epKey uint64, i, offset int) Box {
 	k := splitmix64(epKey + uint64(i)*0x100000001b3)
-	w := 0.10 + 0.20*unitRand(k, 0)
-	h := 0.10 + 0.20*unitRand(k, 1)
-	x0 := unitRand(k, 2) * (1 - w)
-	y0 := unitRand(k, 3) * (1 - h)
-	vx := (unitRand(k, 4)*2 - 1) * 0.004 // per-frame velocity
-	vy := (unitRand(k, 5)*2 - 1) * 0.004
+	w := 0.10 + 0.20*UnitRand(k, 0)
+	h := 0.10 + 0.20*UnitRand(k, 1)
+	x0 := UnitRand(k, 2) * (1 - w)
+	y0 := UnitRand(k, 3) * (1 - h)
+	vx := (UnitRand(k, 4)*2 - 1) * 0.004 // per-frame velocity
+	vy := (UnitRand(k, 5)*2 - 1) * 0.004
 	return Box{
 		X: reflect01(x0+vx*float64(offset), 1-w),
 		Y: reflect01(y0+vy*float64(offset), 1-h),
@@ -181,11 +181,11 @@ func reflect01(p, lim float64) float64 {
 }
 
 func randomBox(key uint64, n uint64) Box {
-	w := 0.08 + 0.25*unitRand(key, n)
-	h := 0.08 + 0.25*unitRand(key, n+1)
+	w := 0.08 + 0.25*UnitRand(key, n)
+	h := 0.08 + 0.25*UnitRand(key, n+1)
 	return Box{
-		X: unitRand(key, n+2) * (1 - w),
-		Y: unitRand(key, n+3) * (1 - h),
+		X: UnitRand(key, n+2) * (1 - w),
+		Y: UnitRand(key, n+3) * (1 - h),
 		W: w,
 		H: h,
 	}
@@ -218,9 +218,9 @@ func (r *SimActionRecognizer) Recognize(s video.ShotIdx, labels []annot.Label) [
 // scores the labels one by one, in call order.
 func (r *SimActionRecognizer) PerLabelConcat() {}
 
-// RecognizeBatch implements BatchActionRecognizer: one metered
-// invocation covering every shot, byte-identical to per-shot Recognize.
-func (r *SimActionRecognizer) RecognizeBatch(ss []video.ShotIdx, labels []annot.Label) [][]ActionScore {
+// DetectBatch implements Batcher: one metered invocation covering
+// every shot, byte-identical to per-shot Recognize.
+func (r *SimActionRecognizer) DetectBatch(ss []video.ShotIdx, labels []annot.Label) [][]ActionScore {
 	if len(ss) == 0 {
 		return nil
 	}
@@ -236,23 +236,23 @@ func (r *SimActionRecognizer) recognizeAll(s video.ShotIdx, labels []annot.Label
 	var out []ActionScore
 	frame := int(s) * r.scene.Truth.Meta.Geom.ShotLen
 	for _, label := range labels {
-		key := hashKey(r.scene.Seed, "act:"+string(label), int64(s))
+		key := HashKey(r.scene.Seed, "act:"+string(label), int64(s))
 		present := r.scene.Truth.Actions[label].Contains(int(s))
 		tpr, fprBase, fprDistract := effectiveRates(r.profile, r.scene.accuracy(label))
 		var score float64
 		switch {
-		case present && unitRand(key, 0) < tpr:
+		case present && UnitRand(key, 0) < tpr:
 			u1, u2 := gaussPair(key, 1)
 			score = r.profile.TPScore.sample(u1, u2)
 		case present:
 			// Missed: weak sub-threshold response.
-			score = 0.30 * unitRand(key, 5)
+			score = 0.30 * UnitRand(key, 5)
 		default:
 			fpr := fprBase * r.scene.drift(frame)
 			if r.scene.ActionDistractors[label].Contains(int(s)) {
 				fpr = fprDistract
 			}
-			if unitRand(key, 0) < clamp01(fpr) {
+			if UnitRand(key, 0) < clamp01(fpr) {
 				u1, u2 := gaussPair(key, 1)
 				score = r.profile.FPScore.sample(u1, u2)
 			}

@@ -103,29 +103,29 @@ func TestTrackerDefaults(t *testing.T) {
 }
 
 func TestHashKeyStable(t *testing.T) {
-	a := hashKey(1, "car", 42)
-	b := hashKey(1, "car", 42)
+	a := HashKey(1, "car", 42)
+	b := HashKey(1, "car", 42)
 	if a != b {
-		t.Fatal("hashKey not deterministic")
+		t.Fatal("HashKey not deterministic")
 	}
-	if hashKey(2, "car", 42) == a || hashKey(1, "dog", 42) == a || hashKey(1, "car", 43) == a {
-		t.Fatal("hashKey collisions across distinct keys (unexpectedly)")
+	if HashKey(2, "car", 42) == a || HashKey(1, "dog", 42) == a || HashKey(1, "car", 43) == a {
+		t.Fatal("HashKey collisions across distinct keys (unexpectedly)")
 	}
 }
 
 func TestUnitRandUniformish(t *testing.T) {
-	key := hashKey(9, "x", 0)
+	key := HashKey(9, "x", 0)
 	sum := 0.0
 	const n = 20000
 	for i := uint64(0); i < n; i++ {
-		u := unitRand(key, i)
+		u := UnitRand(key, i)
 		if u < 0 || u >= 1 {
-			t.Fatalf("unitRand out of [0,1): %v", u)
+			t.Fatalf("UnitRand out of [0,1): %v", u)
 		}
 		sum += u
 	}
 	if mean := sum / n; mean < 0.48 || mean > 0.52 {
-		t.Fatalf("unitRand mean %v far from 0.5", mean)
+		t.Fatalf("UnitRand mean %v far from 0.5", mean)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package fault is a deterministic, seed-driven fault injector for the
-// detection backends: it wraps the fallible detector/recognizer
-// interfaces of package detect with configurable error rates, latency
-// spikes, transient stalls and score-corruption episodes, schedulable
-// per unit range (frame index for detectors, shot index for
-// recognizers) so chaos runs are exactly reproducible.
+// detection backends: one Injector type wraps a detect.Backend of
+// either model kind with configurable error rates, latency spikes,
+// transient stalls and score-corruption episodes, schedulable per unit
+// range (frame index for detectors, shot index for recognizers) so chaos
+// runs are exactly reproducible. The kind's salt keys every draw, so the
+// two kinds draw disjoint streams under one schedule.
 //
 // Every injection decision is a pure function of (schedule seed,
 // episode index, unit, attempt number): the same seed and schedule
@@ -228,10 +229,13 @@ func (e Episode) draw(c Call) int {
 	return c.Attempt
 }
 
-// injector holds the state shared by the object and action wrappers.
-type injector struct {
-	sched Schedule
-	salt  string
+// Injector wraps a fallible backend with a fault schedule and is a
+// detect.Backend itself. The backend's units — frame indices for
+// objects, shot indices for actions — are the schedule's units.
+type Injector[U detect.Unit, R detect.Result] struct {
+	backend detect.Backend[U, R]
+	kind    *detect.Kind[U, R]
+	sched   Schedule
 
 	errors, latencies, stalls, corrupted atomic.Int64
 
@@ -239,15 +243,48 @@ type injector struct {
 	attempts map[int]int // per-unit invocation count
 }
 
-func newInjector(sched Schedule, salt string) injector {
-	return injector{sched: sched, salt: salt, attempts: map[int]int{}}
+// NewObject wraps an object detection backend with the schedule.
+func NewObject(backend detect.FallibleObjectDetector, sched Schedule) *Injector[video.FrameIdx, detect.Detection] {
+	return newInjector(detect.Objects, backend, sched)
+}
+
+// NewAction wraps an action recognition backend with the schedule.
+func NewAction(backend detect.FallibleActionRecognizer, sched Schedule) *Injector[video.ShotIdx, detect.ActionScore] {
+	return newInjector(detect.Actions, backend, sched)
+}
+
+func newInjector[U detect.Unit, R detect.Result](k *detect.Kind[U, R], backend detect.Backend[U, R], sched Schedule) *Injector[U, R] {
+	return &Injector[U, R]{backend: backend, kind: k, sched: sched, attempts: map[int]int{}}
+}
+
+// Name implements detect.Backend.
+func (in *Injector[U, R]) Name() string { return in.backend.Name() }
+
+// DetectCtx implements detect.Backend, applying the schedule before
+// (errors, delays) and after (score corruption) the wrapped backend's
+// call.
+func (in *Injector[U, R]) DetectCtx(ctx context.Context, u U, labels []annot.Label) ([]R, error) {
+	corrupt, err := in.inject(ctx, int(u))
+	if err != nil {
+		return nil, err
+	}
+	res, err := in.backend.DetectCtx(ctx, u, labels)
+	if err != nil || !corrupt {
+		return res, err
+	}
+	key := detect.HashKey(in.sched.Seed, in.kind.Salt+"/corrupt", int64(u))
+	out := make([]R, len(res))
+	for i, r := range res {
+		out[i] = in.kind.Rescore(r, detect.UnitRand(key, uint64(i)))
+	}
+	return out, nil
 }
 
 // nextAttempt returns how many times the unit has been queried before
 // this call. Per-unit counting keeps decisions deterministic under
 // parallel execution: units are independent, and within one unit the
 // call sequence (first try, retry, ...) is serial in every caller.
-func (in *injector) nextAttempt(unit int) int {
+func (in *Injector[U, R]) nextAttempt(unit int) int {
 	in.mu.Lock()
 	n := in.attempts[unit]
 	in.attempts[unit] = n + 1
@@ -255,8 +292,8 @@ func (in *injector) nextAttempt(unit int) int {
 	return n
 }
 
-// counts snapshots the fired-fault counters.
-func (in *injector) counts() Counts {
+// Counts snapshots the faults fired so far.
+func (in *Injector[U, R]) Counts() Counts {
 	return Counts{
 		Errors:    in.errors.Load(),
 		Latencies: in.latencies.Load(),
@@ -268,7 +305,7 @@ func (in *injector) counts() Counts {
 // inject runs the schedule against one invocation. It returns a non-nil
 // error when an Error episode fires (or a sleep is cut short by ctx)
 // and reports whether a Corrupt episode fired.
-func (in *injector) inject(ctx context.Context, backend string, unit int) (corrupt bool, err error) {
+func (in *Injector[U, R]) inject(ctx context.Context, unit int) (corrupt bool, err error) {
 	call, explicit := CallFrom(ctx)
 	if !explicit {
 		call.Attempt = in.nextAttempt(unit)
@@ -277,7 +314,7 @@ func (in *injector) inject(ctx context.Context, backend string, unit int) (corru
 		if !ep.covers(unit) {
 			continue
 		}
-		if !fires(in.sched.Seed, in.salt, i, unit, ep.draw(call), ep.Rate) {
+		if !fires(in.sched.Seed, in.kind.Salt, i, unit, ep.draw(call), ep.Rate) {
 			continue
 		}
 		switch ep.Kind {
@@ -292,18 +329,13 @@ func (in *injector) inject(ctx context.Context, backend string, unit int) (corru
 			}
 		case Error:
 			in.errors.Add(1)
-			return false, fmt.Errorf("%w: %s unit %d attempt %d", ErrInjected, backend, unit, call.Attempt)
+			return false, fmt.Errorf("%w: %s unit %d attempt %d", ErrInjected, in.backend.Name(), unit, call.Attempt)
 		case Corrupt:
 			in.corrupted.Add(1)
 			corrupt = true
 		}
 	}
 	return corrupt, nil
-}
-
-// corruptKey seeds the deterministic garbage scores of one invocation.
-func (in *injector) corruptKey(unit, i int) float64 {
-	return unitRand(hashKey(in.sched.Seed, in.salt+"/corrupt", int64(unit)), uint64(i))
 }
 
 // fires decides one (episode, unit, attempt) injection: a pure hash of
@@ -315,8 +347,8 @@ func fires(seed int64, salt string, episode, unit, attempt int, rate float64) bo
 	if rate >= 1 {
 		return true
 	}
-	key := hashKey(seed, salt+"/"+strconv.Itoa(episode), int64(unit))
-	return unitRand(key, uint64(attempt)) < rate
+	key := detect.HashKey(seed, salt+"/"+strconv.Itoa(episode), int64(unit))
+	return detect.UnitRand(key, uint64(attempt)) < rate
 }
 
 // sleep waits for d, returning ctx's error if it fires first.
@@ -332,103 +364,4 @@ func sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// ObjectInjector wraps a fallible object detector with a fault
-// schedule; it implements detect.FallibleObjectDetector.
-type ObjectInjector struct {
-	backend detect.FallibleObjectDetector
-	in      injector
-}
-
-// NewObject wraps backend with the schedule. Frame indices are the
-// schedule's units.
-func NewObject(backend detect.FallibleObjectDetector, sched Schedule) *ObjectInjector {
-	return &ObjectInjector{backend: backend, in: newInjector(sched, "obj")}
-}
-
-// Name implements detect.FallibleObjectDetector.
-func (o *ObjectInjector) Name() string { return o.backend.Name() }
-
-// Counts snapshots the faults fired so far.
-func (o *ObjectInjector) Counts() Counts { return o.in.counts() }
-
-// DetectCtx implements detect.FallibleObjectDetector, applying the
-// schedule before (errors, delays) and after (score corruption) the
-// wrapped backend's call.
-func (o *ObjectInjector) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, error) {
-	corrupt, err := o.in.inject(ctx, o.backend.Name(), int(v))
-	if err != nil {
-		return nil, err
-	}
-	dets, err := o.backend.DetectCtx(ctx, v, labels)
-	if err != nil || !corrupt {
-		return dets, err
-	}
-	out := make([]detect.Detection, len(dets))
-	for i, d := range dets {
-		d.Score = o.in.corruptKey(int(v), i)
-		out[i] = d
-	}
-	return out, nil
-}
-
-// ActionInjector wraps a fallible action recognizer with a fault
-// schedule; it implements detect.FallibleActionRecognizer. Shot indices
-// are the schedule's units.
-type ActionInjector struct {
-	backend detect.FallibleActionRecognizer
-	in      injector
-}
-
-// NewAction wraps backend with the schedule.
-func NewAction(backend detect.FallibleActionRecognizer, sched Schedule) *ActionInjector {
-	return &ActionInjector{backend: backend, in: newInjector(sched, "act")}
-}
-
-// Name implements detect.FallibleActionRecognizer.
-func (a *ActionInjector) Name() string { return a.backend.Name() }
-
-// Counts snapshots the faults fired so far.
-func (a *ActionInjector) Counts() Counts { return a.in.counts() }
-
-// RecognizeCtx implements detect.FallibleActionRecognizer.
-func (a *ActionInjector) RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, error) {
-	corrupt, err := a.in.inject(ctx, a.backend.Name(), int(s))
-	if err != nil {
-		return nil, err
-	}
-	scores, err := a.backend.RecognizeCtx(ctx, s, labels)
-	if err != nil || !corrupt {
-		return scores, err
-	}
-	out := make([]detect.ActionScore, len(scores))
-	for i, sc := range scores {
-		sc.Score = a.in.corruptKey(int(s), i)
-		out[i] = sc
-	}
-	return out, nil
-}
-
-// splitmix64 / hashKey / unitRand mirror the deterministic hash-based
-// generator of package detect (unexported there): decisions must be
-// reproducible per coordinate regardless of invocation order.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func hashKey(seed int64, salt string, unit int64) uint64 {
-	h := splitmix64(uint64(seed))
-	for _, b := range []byte(salt) {
-		h = splitmix64(h ^ uint64(b))
-	}
-	return splitmix64(h ^ uint64(unit))
-}
-
-func unitRand(key uint64, n uint64) float64 {
-	v := splitmix64(key + n*0x9e3779b97f4a7c15)
-	return float64(v>>11) / float64(1<<53)
 }

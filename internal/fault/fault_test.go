@@ -29,7 +29,7 @@ type stubAction struct{}
 
 func (stubAction) Name() string { return "stub-act" }
 
-func (stubAction) RecognizeCtx(_ context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, error) {
+func (stubAction) DetectCtx(_ context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, error) {
 	out := make([]detect.ActionScore, len(labels))
 	for i, l := range labels {
 		out[i] = detect.ActionScore{Label: l, Score: 0.6}
@@ -240,10 +240,10 @@ func TestActionInjector(t *testing.T) {
 	if inj.Name() != "stub-act" {
 		t.Errorf("Name = %q", inj.Name())
 	}
-	if _, err := inj.RecognizeCtx(context.Background(), 2, testLabels); !errors.Is(err, ErrInjected) {
+	if _, err := inj.DetectCtx(context.Background(), 2, testLabels); !errors.Is(err, ErrInjected) {
 		t.Errorf("shot 2: want ErrInjected, got %v", err)
 	}
-	scores, err := inj.RecognizeCtx(context.Background(), 7, testLabels)
+	scores, err := inj.DetectCtx(context.Background(), 7, testLabels)
 	if err != nil {
 		t.Fatalf("shot 7: %v", err)
 	}

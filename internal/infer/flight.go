@@ -9,30 +9,37 @@ import (
 	"vaq/internal/video"
 )
 
-// ObjectSource is the upstream a flight binds: the resilient detector
-// face (result plus degraded flag, no error; resilience has already
-// absorbed faults). *resilience.Detector implements it.
-type ObjectSource interface {
-	DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, bool)
+// Source is the upstream a flight binds: the resilient face of a
+// backend of either kind (results plus degraded flag, no error;
+// resilience has already absorbed faults). *resilience.Detector and
+// *resilience.Recognizer implement it.
+type Source[U detect.Unit, R detect.Result] interface {
+	DetectCtx(ctx context.Context, u U, labels []annot.Label) ([]R, bool)
 }
 
-// ActionSource is the shot-level counterpart; *resilience.Recognizer
-// implements it.
-type ActionSource interface {
-	RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, bool)
+// FallibleSource adapts a fallible backend into a Source for stacks
+// without a resilience layer (the library facade): errors (only ctx
+// expiry for the adapted simulators) surface as empty, non-degraded
+// results.
+func FallibleSource[U detect.Unit, R detect.Result](b detect.Backend[U, R]) Source[U, R] {
+	return fallibleSource[U, R]{b}
+}
+
+type fallibleSource[U detect.Unit, R detect.Result] struct{ b detect.Backend[U, R] }
+
+func (p fallibleSource[U, R]) DetectCtx(ctx context.Context, u U, labels []annot.Label) ([]R, bool) {
+	res, _ := p.b.DetectCtx(ctx, u, labels)
+	return res, false
 }
 
 // ObjectFlight binds a resilient detector over this domain's memo to a
 // session's lifetime. It does no deduplication of its own: concurrent
 // same-unit calls coalesce in the memo below resilience, which also
 // hands every caller its own copy of the result.
-type ObjectFlight struct {
-	src  ObjectSource
-	name string
-}
+type ObjectFlight session[video.FrameIdx, detect.Detection]
 
 // ObjectFlight fronts src, reported under name.
-func (sh *Shared) ObjectFlight(name string, src ObjectSource) *ObjectFlight {
+func (sh *Shared) ObjectFlight(name string, src Source[video.FrameIdx, detect.Detection]) *ObjectFlight {
 	return &ObjectFlight{src: src, name: name}
 }
 
@@ -41,7 +48,52 @@ func (sh *Shared) ObjectFlight(name string, src ObjectSource) *ObjectFlight {
 // cancelled ctx abandons the session's waits on fills other callers
 // lead.
 func (f *ObjectFlight) Bind(ctx context.Context) detect.ObjectDetector {
-	return boundObject{f: f, ctx: bindCtx(ctx)}
+	return boundObject{session[video.FrameIdx, detect.Detection]{f.src, f.name, bindCtx(ctx)}}
+}
+
+// ActionFlight is the shot-level counterpart of ObjectFlight.
+type ActionFlight session[video.ShotIdx, detect.ActionScore]
+
+// ActionFlight fronts src, reported under name.
+func (sh *Shared) ActionFlight(name string, src Source[video.ShotIdx, detect.ActionScore]) *ActionFlight {
+	return &ActionFlight{src: src, name: name}
+}
+
+// Bind returns the infallible engine-facing recognizer scoped to ctx.
+func (f *ActionFlight) Bind(ctx context.Context) detect.ActionRecognizer {
+	return boundAction{session[video.ShotIdx, detect.ActionScore]{f.src, f.name, bindCtx(ctx)}}
+}
+
+// session is a flight's source and reported name scoped to one
+// session's ctx; a flight is an unbound session, and boundObject and
+// boundAction give a bound one the engines' method names.
+type session[U detect.Unit, R detect.Result] struct {
+	src  Source[U, R]
+	name string
+	ctx  context.Context
+}
+
+func (s session[U, R]) Name() string { return s.name }
+
+func (s session[U, R]) call(u U, labels []annot.Label) []R {
+	res, _ := s.src.DetectCtx(s.ctx, u, labels)
+	return res
+}
+
+type boundObject struct {
+	session[video.FrameIdx, detect.Detection]
+}
+
+func (b boundObject) Detect(v video.FrameIdx, labels []annot.Label) []detect.Detection {
+	return b.call(v, labels)
+}
+
+type boundAction struct {
+	session[video.ShotIdx, detect.ActionScore]
+}
+
+func (b boundAction) Recognize(s video.ShotIdx, labels []annot.Label) []detect.ActionScore {
+	return b.call(s, labels)
 }
 
 // binding is a bound ctx and its twin without cancellation, made once
@@ -72,74 +124,4 @@ func detached(ctx context.Context) context.Context {
 		return b.detached
 	}
 	return context.WithoutCancel(ctx)
-}
-
-type boundObject struct {
-	f   *ObjectFlight
-	ctx context.Context
-}
-
-func (b boundObject) Name() string { return b.f.name }
-
-func (b boundObject) Detect(v video.FrameIdx, labels []annot.Label) []detect.Detection {
-	dets, _ := b.f.src.DetectCtx(b.ctx, v, labels)
-	return dets
-}
-
-// ActionFlight is the shot-level counterpart of ObjectFlight.
-type ActionFlight struct {
-	src  ActionSource
-	name string
-}
-
-// ActionFlight fronts src, reported under name.
-func (sh *Shared) ActionFlight(name string, src ActionSource) *ActionFlight {
-	return &ActionFlight{src: src, name: name}
-}
-
-// Bind returns the infallible engine-facing recognizer scoped to ctx.
-func (f *ActionFlight) Bind(ctx context.Context) detect.ActionRecognizer {
-	return boundAction{f: f, ctx: bindCtx(ctx)}
-}
-
-type boundAction struct {
-	f   *ActionFlight
-	ctx context.Context
-}
-
-func (b boundAction) Name() string { return b.f.name }
-
-func (b boundAction) Recognize(s video.ShotIdx, labels []annot.Label) []detect.ActionScore {
-	scores, _ := b.f.src.RecognizeCtx(b.ctx, s, labels)
-	return scores
-}
-
-// FallibleObjectSource adapts a fallible backend into an ObjectSource
-// for stacks without a resilience layer (the library facade): errors
-// (only ctx expiry for the adapted simulators) surface as empty,
-// non-degraded results.
-func FallibleObjectSource(d detect.FallibleObjectDetector) ObjectSource {
-	return fallibleObjSource{d}
-}
-
-type fallibleObjSource struct{ d detect.FallibleObjectDetector }
-
-func (p fallibleObjSource) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, bool) {
-	dets, _ := p.d.DetectCtx(ctx, v, labels)
-	return dets, false
-}
-
-// FallibleActionSource is the shot-level counterpart of
-// FallibleObjectSource.
-func FallibleActionSource(r detect.FallibleActionRecognizer) ActionSource {
-	return fallibleActSource{r}
-}
-
-type fallibleActSource struct {
-	r detect.FallibleActionRecognizer
-}
-
-func (p fallibleActSource) RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, bool) {
-	scores, _ := p.r.RecognizeCtx(ctx, s, labels)
-	return scores, false
 }

@@ -5,11 +5,12 @@
 // >98% of online runtime to model inference, so at many-sessions scale
 // this layer — not the matcher — is where serving capacity is won.
 //
-// Three layers, stacked from the engines down:
+// Three layers, stacked from the engines down, each written once over
+// detect.Backend for both model kinds:
 //
 //  1. Session binding (ObjectFlight / ActionFlight) binds the resilient
-//     detector above the domain to one session's ctx, so the engines
-//     keep calling plain Detect / Recognize. It does no dedup itself.
+//     Source above the domain to one session's ctx, so the engines keep
+//     calling plain Detect / Recognize. It does no dedup itself.
 //  2. The memo (Shared.Object / Shared.Action): one table per domain of
 //     per-label results. The first caller of a missing key fills it
 //     inline; callers of a key in flight wait on it, each leaving on its

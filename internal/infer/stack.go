@@ -7,7 +7,6 @@ import (
 
 	"vaq/internal/annot"
 	"vaq/internal/detect"
-	"vaq/internal/video"
 )
 
 // Object wraps a fallible object backend with the domain's below-fault
@@ -19,111 +18,74 @@ import (
 // memo only ever holds clean results. Over an infallible backend the
 // result carries detect.InfallibleBackend too.
 func (sh *Shared) Object(backend detect.FallibleObjectDetector) detect.FallibleObjectDetector {
-	inner := backend
-	if sh.cfg.BatchWindow > 0 {
-		inner = sh.newBatchedObject(inner)
-	}
-	m := &memoObject{inner: inner, b: &memoBackend{sh, sh.intern("o" + backend.Name()), perLabelConcat[detect.ObjectDetector](backend)}}
-	if _, ok := inner.(detect.InfallibleBackend); ok {
-		return infallibleMemoObject{m}
-	}
-	return m
+	return wrap(sh, detect.Objects, backend, adapted[detect.ObjectDetector](backend))
 }
 
 // Action is the shot-level counterpart of Object.
 func (sh *Shared) Action(backend detect.FallibleActionRecognizer) detect.FallibleActionRecognizer {
+	return wrap(sh, detect.Actions, backend, adapted[detect.ActionRecognizer](backend))
+}
+
+// adapted is the D a fallible adapter wraps (Unwrap), or backend itself;
+// its optional capabilities (detect.PerLabelConcat, detect.Batcher) are
+// discovered on it.
+func adapted[D any](backend any) any {
+	if u, ok := backend.(interface{ Unwrap() D }); ok {
+		return u.Unwrap()
+	}
+	return backend
+}
+
+// wrap stacks the memo over the batcher over backend, whose model is
+// the one it adapts. Both kinds share the domain's one table: a backend
+// is keyed by its kind's initial and name.
+func wrap[U detect.Unit, R detect.Result](sh *Shared, k *detect.Kind[U, R], backend detect.Backend[U, R], model any) detect.Backend[U, R] {
 	inner := backend
 	if sh.cfg.BatchWindow > 0 {
-		inner = sh.newBatchedAction(inner)
+		vec, _ := model.(detect.Batcher[U, R])
+		inner = newBatched(sh, inner, vec)
 	}
-	m := &memoAction{inner: inner, b: &memoBackend{sh, sh.intern("a" + backend.Name()), perLabelConcat[detect.ActionRecognizer](backend)}}
+	_, concat := model.(detect.PerLabelConcat)
+	m := &memo[U, R]{sh: sh, id: sh.intern(k.Salt[:1] + backend.Name()), concat: concat, inner: inner, label: k.Label}
 	if _, ok := inner.(detect.InfallibleBackend); ok {
-		return infallibleMemoAction{m}
+		return infallibleMemo[U, R]{m}
 	}
 	return m
 }
 
-// perLabelConcat reports whether backend, or the D a fallible adapter
-// wraps (Unwrap), declares detect.PerLabelConcat.
-func perLabelConcat[D any](backend any) bool {
-	if u, ok := backend.(interface{ Unwrap() D }); ok {
-		backend = u.Unwrap()
-	}
-	_, ok := backend.(detect.PerLabelConcat)
-	return ok
+// infallibleMemo forwards the inner backend's InfallibleBackend marker:
+// the memo adds no failure of its own beyond a caller's expired ctx,
+// which the infallible adapters report too.
+type infallibleMemo[U detect.Unit, R detect.Result] struct{ *memo[U, R] }
+
+func (infallibleMemo[U, R]) InfallibleBackend() {}
+
+// batched funnels same-label-list invocations through the bounded-delay
+// accumulator. When the wrapped backend adapts a detect.Batcher (vec),
+// multi-unit flushes become one vectorized call; otherwise the flush
+// loops per unit, which still bounds concurrent backend pressure
+// without changing results.
+type batched[U detect.Unit, R detect.Result] struct {
+	inner detect.Backend[U, R]
+	acc   *accumulator[[]R]
 }
 
-type memoObject struct {
-	inner detect.FallibleObjectDetector
-	b     *memoBackend
-}
-
-func (m *memoObject) Name() string { return m.inner.Name() }
-
-func (m *memoObject) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, error) {
-	return memoCall(m.b, ctx, int64(v), labels,
-		func(ctx context.Context, ls []annot.Label) ([]detect.Detection, error) {
-			return m.inner.DetectCtx(ctx, v, ls)
-		},
-		func(d detect.Detection) annot.Label { return d.Label })
-}
-
-// infallibleMemoObject forwards the inner backend's InfallibleBackend
-// marker: the memo adds no failure of its own beyond a caller's expired
-// ctx, which the infallible adapters report too.
-type infallibleMemoObject struct{ *memoObject }
-
-func (infallibleMemoObject) InfallibleBackend() {}
-
-type memoAction struct {
-	inner detect.FallibleActionRecognizer
-	b     *memoBackend
-}
-
-func (m *memoAction) Name() string { return m.inner.Name() }
-
-func (m *memoAction) RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, error) {
-	return memoCall(m.b, ctx, int64(s), labels,
-		func(ctx context.Context, ls []annot.Label) ([]detect.ActionScore, error) {
-			return m.inner.RecognizeCtx(ctx, s, ls)
-		},
-		func(a detect.ActionScore) annot.Label { return a.Label })
-}
-
-type infallibleMemoAction struct{ *memoAction }
-
-func (infallibleMemoAction) InfallibleBackend() {}
-
-// batchedObject funnels same-label-list invocations through the bounded-
-// delay accumulator. When the wrapped backend (unwrapped through the
-// infallible adapter) supports DetectBatch, multi-unit flushes become
-// one vectorized call; otherwise the flush loops per unit, which still
-// bounds concurrent backend pressure without changing results.
-type batchedObject struct {
-	inner detect.FallibleObjectDetector
-	acc   *accumulator[[]detect.Detection]
-}
-
-func (sh *Shared) newBatchedObject(backend detect.FallibleObjectDetector) *batchedObject {
-	var vec detect.BatchObjectDetector
-	if u, ok := backend.(interface{ Unwrap() detect.ObjectDetector }); ok {
-		vec, _ = u.Unwrap().(detect.BatchObjectDetector)
-	}
-	run := func(ctx context.Context, units []int, labels []annot.Label) ([][]detect.Detection, error) {
+func newBatched[U detect.Unit, R detect.Result](sh *Shared, backend detect.Backend[U, R], vec detect.Batcher[U, R]) *batched[U, R] {
+	run := func(ctx context.Context, units []int, labels []annot.Label) ([][]R, error) {
 		if vec != nil && len(units) > 1 {
-			vs := make([]video.FrameIdx, len(units))
+			us := make([]U, len(units))
 			for i, u := range units {
-				vs[i] = video.FrameIdx(u)
+				us[i] = U(u)
 			}
-			return vec.DetectBatch(vs, labels), nil
+			return vec.DetectBatch(us, labels), nil
 		}
-		out := make([][]detect.Detection, len(units))
+		out := make([][]R, len(units))
 		for i, u := range units {
-			dets, err := backend.DetectCtx(ctx, video.FrameIdx(u), labels)
+			res, err := backend.DetectCtx(ctx, U(u), labels)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = dets
+			out[i] = res
 		}
 		return out, nil
 	}
@@ -132,57 +94,13 @@ func (sh *Shared) newBatchedObject(backend detect.FallibleObjectDetector) *batch
 		// Unreachable: New rejects invalid batching configurations.
 		panic(err)
 	}
-	return &batchedObject{inner: backend, acc: acc}
+	return &batched[U, R]{inner: backend, acc: acc}
 }
 
-func (b *batchedObject) Name() string { return b.inner.Name() }
+func (b *batched[U, R]) Name() string { return b.inner.Name() }
 
-func (b *batchedObject) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, error) {
-	return b.acc.do(ctx, labelsKey(labels), int(v), labels)
-}
-
-type batchedAction struct {
-	inner detect.FallibleActionRecognizer
-	acc   *accumulator[[]detect.ActionScore]
-}
-
-func (sh *Shared) newBatchedAction(backend detect.FallibleActionRecognizer) *batchedAction {
-	var vec detect.BatchActionRecognizer
-	if u, ok := backend.(interface {
-		Unwrap() detect.ActionRecognizer
-	}); ok {
-		vec, _ = u.Unwrap().(detect.BatchActionRecognizer)
-	}
-	run := func(ctx context.Context, units []int, labels []annot.Label) ([][]detect.ActionScore, error) {
-		if vec != nil && len(units) > 1 {
-			ss := make([]video.ShotIdx, len(units))
-			for i, u := range units {
-				ss[i] = video.ShotIdx(u)
-			}
-			return vec.RecognizeBatch(ss, labels), nil
-		}
-		out := make([][]detect.ActionScore, len(units))
-		for i, u := range units {
-			scores, err := backend.RecognizeCtx(ctx, video.ShotIdx(u), labels)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = scores
-		}
-		return out, nil
-	}
-	acc, err := newAccumulator(sh.cfg.BatchWindow, sh.cfg.BatchMax, run, sh.observeFlush)
-	if err != nil {
-		// Unreachable: New rejects invalid batching configurations.
-		panic(err)
-	}
-	return &batchedAction{inner: backend, acc: acc}
-}
-
-func (b *batchedAction) Name() string { return b.inner.Name() }
-
-func (b *batchedAction) RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, error) {
-	return b.acc.do(ctx, labelsKey(labels), int(s), labels)
+func (b *batched[U, R]) DetectCtx(ctx context.Context, u U, labels []annot.Label) ([]R, error) {
+	return b.acc.do(ctx, labelsKey(labels), int(u), labels)
 }
 
 // observeFlush records one batch flush in the counters, the batch-size

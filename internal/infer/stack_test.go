@@ -240,7 +240,7 @@ func TestChaosDeterminismCacheOnOff(t *testing.T) {
 	}
 }
 
-// srcFromFake adapts fakeObj into an ObjectSource for flight tests.
+// srcFromFake adapts fakeObj into a Source for flight tests.
 type srcFromFake struct{ f *fakeObj }
 
 func (s srcFromFake) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, bool) {
@@ -272,7 +272,7 @@ func TestFlightBindDropsDegradedAndError(t *testing.T) {
 func TestFlightCoalescesAndClonesPerWaiter(t *testing.T) {
 	g := newGate()
 	sh := MustNew(Config{})
-	f := sh.ObjectFlight("gate", FallibleObjectSource(sh.Object(g)))
+	f := sh.ObjectFlight("gate", FallibleSource(sh.Object(g)))
 	labels := []annot.Label{"car"}
 
 	const n = 6
@@ -314,7 +314,7 @@ func TestFlightCoalescesAndClonesPerWaiter(t *testing.T) {
 func TestFlightWaiterCancellation(t *testing.T) {
 	g := newGate()
 	sh := MustNew(Config{})
-	f := sh.ObjectFlight("gate", FallibleObjectSource(sh.Object(g)))
+	f := sh.ObjectFlight("gate", FallibleSource(sh.Object(g)))
 	labels := []annot.Label{"car"}
 
 	leaderOut := make(chan []detect.Detection, 1)
@@ -361,7 +361,7 @@ func TestUnitKeyDistinguishesKindBackendUnit(t *testing.T) {
 	detectOK(t, wn, 1, "car")
 	detectOK(t, wm, 2, "car")
 	detectOK(t, wm, 1, "person")
-	if _, err := wa.RecognizeCtx(context.Background(), 1, []annot.Label{"car"}); err != nil {
+	if _, err := wa.DetectCtx(context.Background(), 1, []annot.Label{"car"}); err != nil {
 		t.Fatal(err)
 	}
 	if m.calls.Load() != 3 || n.calls.Load() != 1 || meter.Calls() != 1 {
@@ -381,7 +381,7 @@ func TestSharedRaceSmoke(t *testing.T) {
 	}
 	sim := detect.NewSimObjectDetector(scene, detect.MaskRCNN, nil)
 	sh := MustNew(Config{CacheCapacity: 32, BatchWindow: time.Millisecond, BatchMax: 4})
-	f := sh.ObjectFlight("m", FallibleObjectSource(sh.Object(detect.AsFallibleObject(sim))))
+	f := sh.ObjectFlight("m", FallibleSource(sh.Object(detect.AsFallibleObject(sim))))
 
 	var wg sync.WaitGroup
 	for s := 0; s < 8; s++ {
@@ -410,7 +410,7 @@ func TestActionPathFullStack(t *testing.T) {
 	if sh.Config().BatchMax != 8 {
 		t.Fatalf("Config.BatchMax = %d", sh.Config().BatchMax)
 	}
-	f := sh.ActionFlight(sim.Name(), FallibleActionSource(sh.Action(detect.AsFallibleAction(sim))))
+	f := sh.ActionFlight(sim.Name(), FallibleSource(sh.Action(detect.AsFallibleAction(sim))))
 	rec := f.Bind(context.Background())
 	if rec.Name() != sim.Name() {
 		t.Fatalf("Name = %q, want %q", rec.Name(), sim.Name())

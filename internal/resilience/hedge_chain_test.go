@@ -81,7 +81,7 @@ type failingAction struct{}
 
 func (failingAction) Name() string { return "dead-act" }
 
-func (failingAction) RecognizeCtx(context.Context, video.ShotIdx, []annot.Label) ([]detect.ActionScore, error) {
+func (failingAction) DetectCtx(context.Context, video.ShotIdx, []annot.Label) ([]detect.ActionScore, error) {
 	return nil, errors.New("recognizer down")
 }
 
@@ -97,7 +97,7 @@ func TestRecognizerFallbackChainHops(t *testing.T) {
 	rec := resilience.NewRecognizer(failingAction{}, fastPolicy(0), resilience.Options{
 		FallbackActions: []detect.FallibleActionRecognizer{failingAction{}, healthyHop},
 	})
-	if _, degraded := rec.RecognizeCtx(context.Background(), 5, actLabels); !degraded {
+	if _, degraded := rec.DetectCtx(context.Background(), 5, actLabels); !degraded {
 		t.Fatal("dead primary not reported degraded")
 	}
 	if hops := rec.DegradedHops(); hops[5] != 2 {

@@ -46,7 +46,7 @@ func TestModeCheapServesChainHopOne(t *testing.T) {
 		if _, degraded := m.Det.DetectCtx(context.Background(), video.FrameIdx(i), labels); !degraded {
 			t.Fatalf("frame %d under ModeCheap not reported degraded", i)
 		}
-		if _, degraded := m.Rec.RecognizeCtx(context.Background(), video.ShotIdx(i), actLabels); !degraded {
+		if _, degraded := m.Rec.DetectCtx(context.Background(), video.ShotIdx(i), actLabels); !degraded {
 			t.Fatalf("shot %d under ModeCheap not reported degraded", i)
 		}
 	}

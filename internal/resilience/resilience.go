@@ -5,20 +5,20 @@
 // with half-open probing, adaptive retry budgets, and graceful
 // degradation down a fallback chain.
 //
-// The wrappers consume the fallible, context-aware interfaces of
-// package detect (which real backends — and the fault injector —
-// implement) and present the *infallible* interfaces the svaq/rvaq
-// engines and the ingest path were written against. Faults are absorbed
-// here: a failing call is retried under its deadline; a slow call is
-// raced by a hedge replica once it outlives the backend's observed
-// latency quantile; a backend (or a single label) that keeps failing
-// trips its breaker so subsequent calls shed instantly; and when the
-// budget is exhausted the wrapper walks the fallback chain — cheaper
-// profiles first, ending at the background-probability prior (sampling
-// detections at a fixed low rate p0, the same prior package bgprob
-// starts from) — recording exactly which frames/shots were served
-// degraded, and by which hop, so results can be flagged instead of
-// silently skewed.
+// One wrapper, generic over the unit and result of detect.Backend
+// (which real backends — and the fault injector — implement), serves
+// both model kinds; Detector and Recognizer present it through the
+// *infallible* interfaces the svaq/rvaq engines and the ingest path
+// were written against. Faults are absorbed here: a failing call is
+// retried under its deadline; a slow call is raced by a hedge replica
+// once it outlives the backend's observed latency quantile; a backend
+// (or a single label) that keeps failing trips its breaker so
+// subsequent calls shed instantly; and when the budget is exhausted
+// the wrapper walks the fallback chain — cheaper profiles first,
+// ending at the background-probability prior (sampling detections at
+// a fixed low rate p0, the same prior package bgprob starts from) —
+// recording exactly which frames/shots were served degraded, and by
+// which hop, so results can be flagged instead of silently skewed.
 //
 // Determinism: with a deterministic backend (the simulators, or the
 // fault injector wrapping them) a fixed policy seed makes every output
@@ -200,14 +200,14 @@ func stateRank(s string) int {
 	return 0
 }
 
-// invoker is the retry/hedge/breaker/fallback core shared by the
-// object and action wrappers.
+// invoker is the retry/hedge/breaker/degraded-unit core of a wrapper;
+// nothing in it depends on the model kind but the salt.
 type invoker struct {
 	policy  Policy
 	breaker *Breaker
 	budget  *AdaptiveBudget
 	mode    *ModeVar // host-mutated posture (brownout ladder); nil = ModeFull
-	salt    string   // distinguishes obj/act streams under one seed
+	salt    string   // the kind's salt: distinguishes obj/act streams under one seed
 	fast    bool     // backend is an infallible adapter; see fastPath
 
 	calls, errs, retries, fallbacks, deadlines, rejects atomic.Int64
@@ -501,7 +501,7 @@ func (in *invoker) backoff(unit, attempt int, prev time.Duration) time.Duration 
 	if max := in.policy.MaxBackoff; max > 0 && hi > max {
 		hi = max
 	}
-	u := unitRand(hashKey(in.policy.Seed, in.salt+"/backoff", int64(unit)), uint64(attempt))
+	u := detect.UnitRand(detect.HashKey(in.policy.Seed, in.salt+"/backoff", int64(unit)), uint64(attempt))
 	return lo + time.Duration(u*float64(hi-lo))
 }
 
@@ -648,36 +648,139 @@ func (o Options) thresholds() detect.Thresholds {
 	return o.Thresholds
 }
 
+// wrapper runs one backend of either model kind under the policy: the
+// fast path, the brownout mode, the label partition and the fallback
+// chain walk are written once here. Detector and Recognizer add only
+// the engine-facing call.
+type wrapper[U detect.Unit, R detect.Result] struct {
+	in      *invoker
+	backend detect.Backend[U, R]
+	base    context.Context
+	chain   []detect.Backend[U, R]
+	prior   prior
+	sample  func(prior, U, []annot.Label) []R // the kind's prior sampler
+}
+
+func newWrapper[U detect.Unit, R detect.Result](k *detect.Kind[U, R], backend detect.Backend[U, R], p Policy, opt Options,
+	chain []detect.Backend[U, R], thr float64, sample func(prior, U, []annot.Label) []R) *wrapper[U, R] {
+	in := newInvoker(p, k.Salt, backend.Name(), opt)
+	_, in.fast = backend.(detect.InfallibleBackend)
+	return &wrapper[U, R]{
+		in:      in,
+		backend: backend,
+		base:    opt.ctx(),
+		chain:   chain,
+		prior:   prior{seed: p.Seed, key: "prior/" + k.Salt + ":", p0: p.fallbackP(), thr: thr},
+		sample:  sample,
+	}
+}
+
+// Name is the wrapped backend's name.
+func (w *wrapper[U, R]) Name() string { return w.backend.Name() }
+
+// DetectCtx runs one resilient call and reports whether any part of the
+// result came from the fallback chain (degraded).
+func (w *wrapper[U, R]) DetectCtx(ctx context.Context, u U, labels []annot.Label) ([]R, bool) {
+	if mode := w.in.mode.Get(); mode >= ModeCheap {
+		// Brownout posture: skip the primary (even an infallible one)
+		// and serve degraded — the cheap chain hop, or the prior
+		// outright — so overload sheds model cost, not correctness
+		// accounting.
+		w.in.calls.Add(1)
+		var out []R
+		var hop int
+		if mode >= ModePrior {
+			out, hop = w.sample(w.prior, u, labels), len(w.chain)+1
+		} else {
+			out, hop = w.chainCall(ctx, u, labels)
+		}
+		w.in.noteDegraded(int(u), hop)
+		return out, true
+	}
+	if w.in.fastPath(ctx) {
+		if out, err := w.backend.DetectCtx(ctx, u, labels); err == nil {
+			w.in.calls.Add(1)
+			return out, false
+		}
+	}
+	w.in.calls.Add(1)
+	allowed, shed := w.in.partition(labels)
+	var out []R
+	hop := 0
+	if len(allowed) > 0 {
+		res, exhausted := invoke(w.in, ctx, int(u), func(cctx context.Context) ([]R, error) {
+			return w.backend.DetectCtx(cctx, u, allowed)
+		})
+		w.in.reportLabels(allowed, !exhausted)
+		if exhausted {
+			res, hop = w.chainCall(ctx, u, allowed)
+		}
+		out = res
+	}
+	if len(shed) > 0 {
+		res, shedHop := w.chainCall(ctx, u, shed)
+		out = append(out, res...)
+		if shedHop > hop {
+			hop = shedHop
+		}
+	}
+	if hop == 0 {
+		return out, false
+	}
+	w.in.noteDegraded(int(u), hop)
+	return out, true
+}
+
+// chainCall walks the fallback chain for one unit: each hop gets a
+// single attempt under the policy deadline; the prior sampler is the
+// unconditional last hop. It returns the results and the 1-based hop
+// that served them.
+func (w *wrapper[U, R]) chainCall(ctx context.Context, u U, labels []annot.Label) ([]R, int) {
+	for i, hopBackend := range w.chain {
+		hctx, cancel := ctx, context.CancelFunc(func() {})
+		if w.in.policy.Deadline > 0 {
+			hctx, cancel = context.WithTimeout(ctx, w.in.policy.Deadline)
+		}
+		out, err := hopBackend.DetectCtx(hctx, u, labels)
+		cancel()
+		if err == nil {
+			return out, i + 1
+		}
+	}
+	return w.sample(w.prior, u, labels), len(w.chain) + 1
+}
+
+// Stats snapshots the resilience counters.
+func (w *wrapper[U, R]) Stats() Stats { return w.in.stats() }
+
+// DegradedHops maps each degraded unit to the 1-based chain hop that
+// served it (len(chain)+1 = the prior sampler).
+func (w *wrapper[U, R]) DegradedHops() map[int]int { return w.in.degradedHops() }
+
+// Breaker exposes the backend's circuit breaker (for reporting).
+func (w *wrapper[U, R]) Breaker() *Breaker { return w.in.breaker }
+
+// LabelBreaker exposes the per-label breaker of one label, creating it
+// closed on first use; it returns nil when the policy has per-label
+// breakers off.
+func (w *wrapper[U, R]) LabelBreaker(l annot.Label) *Breaker {
+	if w.in.labels == nil {
+		return nil
+	}
+	return w.in.labelBreaker(l)
+}
+
 // Detector wraps a fallible object detection backend with the policy
 // and presents the infallible detect.ObjectDetector interface: Detect
 // never fails — it degrades.
 type Detector struct {
-	backend detect.FallibleObjectDetector
-	in      *invoker
-	base    context.Context
-	chain   []detect.FallibleObjectDetector
-	p0      float64
-	thr     float64
-	seed    int64
+	*wrapper[video.FrameIdx, detect.Detection]
 }
 
 // NewDetector wraps backend under policy p.
 func NewDetector(backend detect.FallibleObjectDetector, p Policy, opt Options) *Detector {
-	in := newInvoker(p, "obj", backend.Name(), opt)
-	_, in.fast = backend.(detect.InfallibleBackend)
-	return &Detector{
-		backend: backend,
-		in:      in,
-		base:    opt.ctx(),
-		chain:   opt.FallbackObjects,
-		p0:      p.fallbackP(),
-		thr:     opt.thresholds().Object,
-		seed:    p.Seed,
-	}
+	return &Detector{newWrapper(detect.Objects, backend, p, opt, opt.FallbackObjects, opt.thresholds().Object, prior.detections)}
 }
-
-// Name implements detect.ObjectDetector.
-func (d *Detector) Name() string { return d.backend.Name() }
 
 // Detect implements detect.ObjectDetector: the backend under the
 // policy, falling back on exhaustion. It never fails.
@@ -686,252 +789,64 @@ func (d *Detector) Detect(v video.FrameIdx, labels []annot.Label) []detect.Detec
 	return dets
 }
 
-// DetectCtx runs one resilient detection and reports whether any part
-// of the result came from the fallback chain (degraded).
-func (d *Detector) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, bool) {
-	if mode := d.in.mode.Get(); mode >= ModeCheap {
-		// Brownout posture: skip the primary (even an infallible one)
-		// and serve degraded — the cheap chain hop, or the prior
-		// outright — so overload sheds model cost, not correctness
-		// accounting.
-		d.in.calls.Add(1)
-		var dets []detect.Detection
-		var hop int
-		if mode >= ModePrior {
-			dets, hop = priorDetections(d.seed, d.p0, d.thr, v, labels), len(d.chain)+1
-		} else {
-			dets, hop = d.chainDetect(ctx, v, labels)
-		}
-		d.in.noteDegraded(int(v), hop)
-		return dets, true
-	}
-	if d.in.fastPath(ctx) {
-		if dets, err := d.backend.DetectCtx(ctx, v, labels); err == nil {
-			d.in.calls.Add(1)
-			return dets, false
-		}
-	}
-	d.in.calls.Add(1)
-	allowed, shed := d.in.partition(labels)
-	var out []detect.Detection
-	hop := 0
-	if len(allowed) > 0 {
-		dets, exhausted := invoke(d.in, ctx, int(v), func(cctx context.Context) ([]detect.Detection, error) {
-			return d.backend.DetectCtx(cctx, v, allowed)
-		})
-		d.in.reportLabels(allowed, !exhausted)
-		if exhausted {
-			dets, hop = d.chainDetect(ctx, v, allowed)
-		}
-		out = dets
-	}
-	if len(shed) > 0 {
-		dets, shedHop := d.chainDetect(ctx, v, shed)
-		out = append(out, dets...)
-		if shedHop > hop {
-			hop = shedHop
-		}
-	}
-	if hop == 0 {
-		return out, false
-	}
-	d.in.noteDegraded(int(v), hop)
-	return out, true
-}
-
-// chainDetect walks the fallback chain for one unit: each hop gets a
-// single attempt under the policy deadline; the prior sampler is the
-// unconditional last hop. It returns the detections and the 1-based
-// hop that served them.
-func (d *Detector) chainDetect(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]detect.Detection, int) {
-	for i, hopBackend := range d.chain {
-		hctx, cancel := ctx, context.CancelFunc(func() {})
-		if d.in.policy.Deadline > 0 {
-			hctx, cancel = context.WithTimeout(ctx, d.in.policy.Deadline)
-		}
-		dets, err := hopBackend.DetectCtx(hctx, v, labels)
-		cancel()
-		if err == nil {
-			return dets, i + 1
-		}
-	}
-	return priorDetections(d.seed, d.p0, d.thr, v, labels), len(d.chain) + 1
-}
-
-// Stats snapshots the resilience counters.
-func (d *Detector) Stats() Stats { return d.in.stats() }
-
 // DegradedFrames returns the sorted frame indices served degraded.
 func (d *Detector) DegradedFrames() []int { return d.in.degradedUnits() }
-
-// DegradedHops maps each degraded frame to the 1-based chain hop that
-// served it (len(chain)+1 = the prior sampler).
-func (d *Detector) DegradedHops() map[int]int { return d.in.degradedHops() }
-
-// Breaker exposes the backend's circuit breaker (for reporting).
-func (d *Detector) Breaker() *Breaker { return d.in.breaker }
-
-// LabelBreaker exposes the per-label breaker of one label, creating it
-// closed on first use; it returns nil when the policy has per-label
-// breakers off.
-func (d *Detector) LabelBreaker(l annot.Label) *Breaker {
-	if d.in.labels == nil {
-		return nil
-	}
-	return d.in.labelBreaker(l)
-}
 
 // Recognizer wraps a fallible action recognition backend; the shot-
 // level counterpart of Detector.
 type Recognizer struct {
-	backend detect.FallibleActionRecognizer
-	in      *invoker
-	base    context.Context
-	chain   []detect.FallibleActionRecognizer
-	p0      float64
-	thr     float64
-	seed    int64
+	*wrapper[video.ShotIdx, detect.ActionScore]
 }
 
 // NewRecognizer wraps backend under policy p.
 func NewRecognizer(backend detect.FallibleActionRecognizer, p Policy, opt Options) *Recognizer {
-	in := newInvoker(p, "act", backend.Name(), opt)
-	_, in.fast = backend.(detect.InfallibleBackend)
-	return &Recognizer{
-		backend: backend,
-		in:      in,
-		base:    opt.ctx(),
-		chain:   opt.FallbackActions,
-		p0:      p.fallbackP(),
-		thr:     opt.thresholds().Action,
-		seed:    p.Seed,
-	}
+	return &Recognizer{newWrapper(detect.Actions, backend, p, opt, opt.FallbackActions, opt.thresholds().Action, prior.scores)}
 }
-
-// Name implements detect.ActionRecognizer.
-func (r *Recognizer) Name() string { return r.backend.Name() }
 
 // Recognize implements detect.ActionRecognizer; it never fails.
 func (r *Recognizer) Recognize(s video.ShotIdx, labels []annot.Label) []detect.ActionScore {
-	scores, _ := r.RecognizeCtx(r.base, s, labels)
+	scores, _ := r.DetectCtx(r.base, s, labels)
 	return scores
 }
-
-// RecognizeCtx runs one resilient recognition and reports whether the
-// result is degraded.
-func (r *Recognizer) RecognizeCtx(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, bool) {
-	if mode := r.in.mode.Get(); mode >= ModeCheap {
-		r.in.calls.Add(1)
-		var scores []detect.ActionScore
-		var hop int
-		if mode >= ModePrior {
-			scores, hop = priorScores(r.seed, r.p0, r.thr, s, labels), len(r.chain)+1
-		} else {
-			scores, hop = r.chainRecognize(ctx, s, labels)
-		}
-		r.in.noteDegraded(int(s), hop)
-		return scores, true
-	}
-	if r.in.fastPath(ctx) {
-		if scores, err := r.backend.RecognizeCtx(ctx, s, labels); err == nil {
-			r.in.calls.Add(1)
-			return scores, false
-		}
-	}
-	r.in.calls.Add(1)
-	allowed, shed := r.in.partition(labels)
-	var out []detect.ActionScore
-	hop := 0
-	if len(allowed) > 0 {
-		scores, exhausted := invoke(r.in, ctx, int(s), func(cctx context.Context) ([]detect.ActionScore, error) {
-			return r.backend.RecognizeCtx(cctx, s, allowed)
-		})
-		r.in.reportLabels(allowed, !exhausted)
-		if exhausted {
-			scores, hop = r.chainRecognize(ctx, s, allowed)
-		}
-		out = scores
-	}
-	if len(shed) > 0 {
-		scores, shedHop := r.chainRecognize(ctx, s, shed)
-		out = append(out, scores...)
-		if shedHop > hop {
-			hop = shedHop
-		}
-	}
-	if hop == 0 {
-		return out, false
-	}
-	r.in.noteDegraded(int(s), hop)
-	return out, true
-}
-
-// chainRecognize mirrors chainDetect at the shot level.
-func (r *Recognizer) chainRecognize(ctx context.Context, s video.ShotIdx, labels []annot.Label) ([]detect.ActionScore, int) {
-	for i, hopBackend := range r.chain {
-		hctx, cancel := ctx, context.CancelFunc(func() {})
-		if r.in.policy.Deadline > 0 {
-			hctx, cancel = context.WithTimeout(ctx, r.in.policy.Deadline)
-		}
-		scores, err := hopBackend.RecognizeCtx(hctx, s, labels)
-		cancel()
-		if err == nil {
-			return scores, i + 1
-		}
-	}
-	return priorScores(r.seed, r.p0, r.thr, s, labels), len(r.chain) + 1
-}
-
-// Stats snapshots the resilience counters.
-func (r *Recognizer) Stats() Stats { return r.in.stats() }
 
 // DegradedShots returns the sorted shot indices served degraded.
 func (r *Recognizer) DegradedShots() []int { return r.in.degradedUnits() }
 
-// DegradedHops maps each degraded shot to the 1-based chain hop that
-// served it.
-func (r *Recognizer) DegradedHops() map[int]int { return r.in.degradedHops() }
-
-// Breaker exposes the backend's circuit breaker (for reporting).
-func (r *Recognizer) Breaker() *Breaker { return r.in.breaker }
-
-// LabelBreaker exposes the per-label breaker of one label; nil when
-// per-label breakers are off.
-func (r *Recognizer) LabelBreaker(l annot.Label) *Breaker {
-	if r.in.labels == nil {
-		return nil
-	}
-	return r.in.labelBreaker(l)
+// prior is the degradation fallback without a configured fallback
+// model: it samples above-threshold results at the prior rate p0 — the
+// bgprob "rare by default" assumption — deterministic per (seed, kind,
+// label, unit).
+type prior struct {
+	seed    int64
+	key     string // "prior/<salt>:", prefixed to each label's stream
+	p0, thr float64
 }
 
-// priorDetections is the degradation fallback without a configured
-// fallback model: sample a detection per (label, frame) at the prior
-// rate p0 — the bgprob "rare by default" assumption. Deterministic per
-// (seed, label, frame).
-func priorDetections(seed int64, p0, thr float64, v video.FrameIdx, labels []annot.Label) []detect.Detection {
+// detections samples a detection per (label, frame) at rate p0.
+func (p prior) detections(v video.FrameIdx, labels []annot.Label) []detect.Detection {
 	var out []detect.Detection
 	for _, label := range labels {
-		key := hashKey(seed, "prior/obj:"+string(label), int64(v))
-		if unitRand(key, 0) >= p0 {
+		key := detect.HashKey(p.seed, p.key+string(label), int64(v))
+		if detect.UnitRand(key, 0) >= p.p0 {
 			continue
 		}
 		out = append(out, detect.Detection{
 			Label: label,
-			Score: thr + (1-thr)*unitRand(key, 1),
+			Score: p.thr + (1-p.thr)*detect.UnitRand(key, 1),
 		})
 	}
 	return out
 }
 
-// priorScores mirrors priorDetections at the shot level: every
-// requested label gets a score, above threshold with probability p0.
-func priorScores(seed int64, p0, thr float64, s video.ShotIdx, labels []annot.Label) []detect.ActionScore {
+// scores mirrors detections at the shot level: every requested label
+// gets a score, above threshold with probability p0.
+func (p prior) scores(s video.ShotIdx, labels []annot.Label) []detect.ActionScore {
 	out := make([]detect.ActionScore, len(labels))
 	for i, label := range labels {
-		key := hashKey(seed, "prior/act:"+string(label), int64(s))
-		score := thr * unitRand(key, 1)
-		if unitRand(key, 0) < p0 {
-			score = thr + (1-thr)*unitRand(key, 1)
+		key := detect.HashKey(p.seed, p.key+string(label), int64(s))
+		score := p.thr * detect.UnitRand(key, 1)
+		if detect.UnitRand(key, 0) < p.p0 {
+			score = p.thr + (1-p.thr)*detect.UnitRand(key, 1)
 		}
 		out[i] = detect.ActionScore{Label: label, Score: score}
 	}
@@ -970,12 +885,7 @@ func (m *Models) Stats() Stats {
 }
 
 // Degraded reports whether any unit has been served degraded.
-func (m *Models) Degraded() bool {
-	if m == nil {
-		return false
-	}
-	return m.Det.Stats().Fallbacks+m.Rec.Stats().Fallbacks > 0
-}
+func (m *Models) Degraded() bool { return m.Stats().Fallbacks > 0 }
 
 // sleepCtx waits for d unless ctx fires first.
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -990,26 +900,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Deterministic hash RNG, mirroring package detect's (unexported
-// there): decisions must be pure functions of their coordinates.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func hashKey(seed int64, salt string, unit int64) uint64 {
-	h := splitmix64(uint64(seed))
-	for _, b := range []byte(salt) {
-		h = splitmix64(h ^ uint64(b))
-	}
-	return splitmix64(h ^ uint64(unit))
-}
-
-func unitRand(key uint64, n uint64) float64 {
-	v := splitmix64(key + n*0x9e3779b97f4a7c15)
-	return float64(v>>11) / float64(1<<53)
 }

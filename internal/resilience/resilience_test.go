@@ -228,7 +228,7 @@ func TestPriorRecognizerFallbackShape(t *testing.T) {
 	sched := fault.Schedule{Seed: 4, Episodes: []fault.Episode{{Kind: fault.Error, Lo: 0, Hi: -1, Rate: 1}}}
 	inj := fault.NewAction(detect.AsFallibleAction(detect.NewSimActionRecognizer(scene, detect.I3D, nil)), sched)
 	r := resilience.NewRecognizer(inj, fastPolicy(0), resilience.Options{})
-	scores, degraded := r.RecognizeCtx(context.Background(), 3, []annot.Label{"run", "walk"})
+	scores, degraded := r.DetectCtx(context.Background(), 3, []annot.Label{"run", "walk"})
 	if !degraded {
 		t.Fatal("not degraded")
 	}

@@ -260,28 +260,29 @@ func (si *SharedInference) Stats() InferenceStats { return si.sh.Stats() }
 // do, that its result is each label's own result concatenated in call
 // order; otherwise it reaches det unchanged.
 func (si *SharedInference) WrapDetector(det ObjectDetector) ObjectDetector {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	f, ok := si.obj[det.Name()]
-	if !ok {
-		backend := si.sh.Object(detect.AsFallibleObject(det))
-		f = si.sh.ObjectFlight(det.Name(), infer.FallibleObjectSource(backend))
-		si.obj[det.Name()] = f
-	}
-	return f.Bind(context.Background())
+	return flightFor(si, si.obj, det.Name(), func() *infer.ObjectFlight {
+		return si.sh.ObjectFlight(det.Name(), infer.FallibleSource(si.sh.Object(detect.AsFallibleObject(det))))
+	}).Bind(context.Background())
 }
 
 // WrapRecognizer routes rec through the domain (see WrapDetector).
 func (si *SharedInference) WrapRecognizer(rec ActionRecognizer) ActionRecognizer {
+	return flightFor(si, si.act, rec.Name(), func() *infer.ActionFlight {
+		return si.sh.ActionFlight(rec.Name(), infer.FallibleSource(si.sh.Action(detect.AsFallibleAction(rec))))
+	}).Bind(context.Background())
+}
+
+// flightFor is the domain's flight for the backend name, built by mk
+// on the name's first use.
+func flightFor[F any](si *SharedInference, flights map[string]F, name string, mk func() F) F {
 	si.mu.Lock()
 	defer si.mu.Unlock()
-	f, ok := si.act[rec.Name()]
+	f, ok := flights[name]
 	if !ok {
-		backend := si.sh.Action(detect.AsFallibleAction(rec))
-		f = si.sh.ActionFlight(rec.Name(), infer.FallibleActionSource(backend))
-		si.act[rec.Name()] = f
+		f = mk()
+		flights[name] = f
 	}
-	return f.Bind(context.Background())
+	return f
 }
 
 // Tracer re-exports the observability tracer (package internal/trace):
