@@ -7,6 +7,9 @@
 package api
 
 import (
+	"encoding/json"
+	"net/http"
+
 	"vaq/internal/explain"
 	"vaq/internal/interval"
 	"vaq/internal/trace"
@@ -333,4 +336,19 @@ type ErrorBody struct {
 // ErrorResponse wraps ErrorBody.
 type ErrorResponse struct {
 	Error ErrorBody `json:"error"`
+}
+
+// WriteJSON writes v as the indented JSON body of a status response.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// WriteErr writes the structured error envelope; pos, when non-nil, is
+// the byte offset of a VQL error's offending token.
+func WriteErr(w http.ResponseWriter, status int, code, msg string, pos *int) {
+	WriteJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: msg, Pos: pos}})
 }

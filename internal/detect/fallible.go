@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"time"
 
 	"vaq/internal/annot"
 	"vaq/internal/video"
@@ -137,4 +138,21 @@ func (a *infallible[M, U, R]) DetectCtx(ctx context.Context, u U, labels []annot
 		return nil, err
 	}
 	return a.call(a.model, u, labels), nil
+}
+
+// Sleep waits for d, returning ctx's error if it fires first; a
+// non-positive d returns nil at once. The layers over a backend use it
+// for injected latency (fault) and retry backoff (resilience).
+func Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

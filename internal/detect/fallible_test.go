@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"vaq/internal/annot"
 	"vaq/internal/video"
@@ -95,4 +96,21 @@ func (a adapterAsDetector) Detect(v video.FrameIdx, labels []annot.Label) []Dete
 }
 func (a adapterAsDetector) DetectCtx(ctx context.Context, v video.FrameIdx, labels []annot.Label) ([]Detection, error) {
 	return a.f.DetectCtx(ctx, v, labels)
+}
+
+// TestSleep pins the shared ctx-aware wait: a non-positive delay
+// returns nil at once even on a done ctx, a positive one waits it out,
+// and a ctx that fires first cuts the wait short with its error.
+func TestSleep(t *testing.T) {
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Sleep(done, 0); err != nil {
+		t.Errorf("Sleep(done, 0) = %v, want nil", err)
+	}
+	if err := Sleep(context.Background(), time.Millisecond); err != nil {
+		t.Errorf("Sleep(1ms) = %v, want nil", err)
+	}
+	if err := Sleep(done, time.Hour); !errors.Is(err, context.Canceled) {
+		t.Errorf("Sleep(done, 1h) = %v, want context.Canceled", err)
+	}
 }

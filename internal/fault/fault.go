@@ -324,7 +324,7 @@ func (in *Injector[U, R]) inject(ctx context.Context, unit int) (corrupt bool, e
 			} else {
 				in.stalls.Add(1)
 			}
-			if err := sleep(ctx, ep.Delay); err != nil {
+			if err := detect.Sleep(ctx, ep.Delay); err != nil {
 				return false, err
 			}
 		case Error:
@@ -349,19 +349,4 @@ func fires(seed int64, salt string, episode, unit, attempt int, rate float64) bo
 	}
 	key := detect.HashKey(seed, salt+"/"+strconv.Itoa(episode), int64(unit))
 	return detect.UnitRand(key, uint64(attempt)) < rate
-}
-
-// sleep waits for d, returning ctx's error if it fires first.
-func sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

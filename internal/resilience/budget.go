@@ -1,18 +1,14 @@
 package resilience
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
 // AdaptiveBudget shrinks retry budgets as serving load rises, so
 // resilience spending stops amplifying overload: retries are worth
 // burning when workers are idle and poison when requests already queue.
-// It tracks the p90 queue wait of the shared worker pool over a short
-// sliding window — the same signal the daemon's shed window uses — and
-// scales the effective retry count linearly down to zero as that p90
-// approaches the configured threshold:
+// It reads the p90 queue wait of the shared worker pool — the daemon's
+// shed window, one load signal for every consumer — and scales the
+// effective retry count linearly down to zero as that p90 approaches
+// the configured threshold:
 //
 //	retries(max) = ⌊max · (1 − min(1, p90/threshold))⌋
 //
@@ -21,49 +17,20 @@ import (
 // methods are nil-safe: a nil budget never trims.
 type AdaptiveBudget struct {
 	threshold time.Duration
-	now       func() time.Time // seam for tests
-
-	mu   sync.Mutex
-	ring [budgetSamples]budgetSample
-	n    int // filled entries
-	next int
+	p90       func() (time.Duration, bool)
 }
-
-type budgetSample struct {
-	when time.Time
-	wait time.Duration
-}
-
-const (
-	budgetSamples    = 256
-	budgetSpan       = 10 * time.Second
-	budgetMinSamples = 8
-)
 
 // NewAdaptiveBudget returns a budget that starts trimming as the p90
-// pool wait warms toward threshold; threshold <= 0 disables trimming.
-func NewAdaptiveBudget(threshold time.Duration) *AdaptiveBudget {
-	return &AdaptiveBudget{threshold: threshold, now: time.Now}
-}
-
-// Observe records one queue wait; hook it to pool.SetObserver (the
-// daemon composes it with the shed window's observer).
-func (b *AdaptiveBudget) Observe(wait time.Duration) {
-	if b == nil || b.threshold <= 0 {
-		return
-	}
-	b.mu.Lock()
-	b.ring[b.next] = budgetSample{when: b.now(), wait: wait}
-	b.next = (b.next + 1) % budgetSamples
-	if b.n < budgetSamples {
-		b.n++
-	}
-	b.mu.Unlock()
+// pool wait reported by p90 warms toward threshold; threshold <= 0
+// disables trimming. p90's second result is false when the window has
+// too few fresh samples to give a reading.
+func NewAdaptiveBudget(threshold time.Duration, p90 func() (time.Duration, bool)) *AdaptiveBudget {
+	return &AdaptiveBudget{threshold: threshold, p90: p90}
 }
 
 // Retries maps the current heat to an effective retry count for a
-// policy allowing max; with too few fresh samples (a cold or idle
-// pool) the full budget stands.
+// policy allowing max; with no load reading (a cold or idle pool) the
+// full budget stands.
 func (b *AdaptiveBudget) Retries(max int) int {
 	if b == nil || b.threshold <= 0 || max <= 0 {
 		return max
@@ -80,22 +47,4 @@ func (b *AdaptiveBudget) Retries(max int) int {
 		heat = 0
 	}
 	return int(float64(max) * (1 - heat))
-}
-
-// p90 computes the 90th-percentile wait over fresh samples.
-func (b *AdaptiveBudget) p90() (time.Duration, bool) {
-	cutoff := b.now().Add(-budgetSpan)
-	b.mu.Lock()
-	fresh := make([]time.Duration, 0, b.n)
-	for i := 0; i < b.n; i++ {
-		if s := b.ring[i]; s.when.After(cutoff) {
-			fresh = append(fresh, s.wait)
-		}
-	}
-	b.mu.Unlock()
-	if len(fresh) < budgetMinSamples {
-		return 0, false
-	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
-	return fresh[len(fresh)*9/10], true
 }

@@ -9,17 +9,16 @@ import (
 // budget, a zero threshold, and a non-positive max all leave the
 // static budget untouched.
 func TestAdaptiveBudgetNilAndDisabled(t *testing.T) {
+	hot := func() (time.Duration, bool) { return time.Hour, true }
 	var nilB *AdaptiveBudget
-	nilB.Observe(time.Second)
 	if got := nilB.Retries(3); got != 3 {
 		t.Errorf("nil budget Retries(3) = %d, want 3", got)
 	}
-	off := NewAdaptiveBudget(0)
-	off.Observe(time.Second)
+	off := NewAdaptiveBudget(0, hot)
 	if got := off.Retries(3); got != 3 {
 		t.Errorf("disabled budget Retries(3) = %d, want 3", got)
 	}
-	b := NewAdaptiveBudget(time.Second)
+	b := NewAdaptiveBudget(time.Second, hot)
 	if got := b.Retries(0); got != 0 {
 		t.Errorf("Retries(0) = %d, want 0", got)
 	}
@@ -27,58 +26,36 @@ func TestAdaptiveBudgetNilAndDisabled(t *testing.T) {
 
 // TestAdaptiveBudgetTrimsWithHeat walks the formula
 // retries(max) = ⌊max·(1 − min(1, p90/threshold))⌋ through its
-// regimes: cold pool (full budget), saturated (zero), stale samples
-// (full again), half heat (half budget).
+// regimes: no reading (full budget), saturated (zero), no reading again
+// (full), half heat (half budget).
 func TestAdaptiveBudgetTrimsWithHeat(t *testing.T) {
-	clock := time.Unix(1000, 0)
-	b := NewAdaptiveBudget(100 * time.Millisecond)
-	b.now = func() time.Time { return clock }
+	var (
+		p90 time.Duration
+		ok  bool
+	)
+	b := NewAdaptiveBudget(100*time.Millisecond, func() (time.Duration, bool) { return p90, ok })
 
-	// Fewer than budgetMinSamples fresh observations: full budget.
-	for i := 0; i < budgetMinSamples-1; i++ {
-		b.Observe(100 * time.Millisecond)
-	}
+	// Too few fresh samples for a reading: full budget.
+	p90 = 100 * time.Millisecond
 	if got := b.Retries(4); got != 4 {
 		t.Errorf("cold budget Retries(4) = %d, want 4", got)
 	}
 
 	// p90 past the threshold: no retries at all.
-	for i := 0; i < 16; i++ {
-		b.Observe(150 * time.Millisecond)
-	}
+	p90, ok = 150*time.Millisecond, true
 	if got := b.Retries(4); got != 0 {
 		t.Errorf("saturated budget Retries(4) = %d, want 0", got)
 	}
 
-	// Everything ages out of the sliding window: full budget again.
-	clock = clock.Add(budgetSpan + time.Second)
+	// Everything aged out of the window: full budget again.
+	ok = false
 	if got := b.Retries(4); got != 4 {
 		t.Errorf("stale-window Retries(4) = %d, want 4", got)
 	}
 
 	// p90 at half the threshold: half the budget.
-	for i := 0; i < 16; i++ {
-		b.Observe(50 * time.Millisecond)
-	}
+	p90, ok = 50*time.Millisecond, true
 	if got := b.Retries(4); got != 2 {
 		t.Errorf("half-heat Retries(4) = %d, want 2", got)
-	}
-}
-
-// TestAdaptiveBudgetRingWraps overfills the ring: the sample count
-// saturates at the ring size and the newest samples still dominate.
-func TestAdaptiveBudgetRingWraps(t *testing.T) {
-	b := NewAdaptiveBudget(time.Millisecond)
-	for i := 0; i < budgetSamples+50; i++ {
-		b.Observe(2 * time.Millisecond)
-	}
-	b.mu.Lock()
-	n := b.n
-	b.mu.Unlock()
-	if n != budgetSamples {
-		t.Errorf("ring holds %d samples after overfill, want %d", n, budgetSamples)
-	}
-	if got := b.Retries(5); got != 0 {
-		t.Errorf("overfilled hot budget Retries(5) = %d, want 0", got)
 	}
 }

@@ -36,7 +36,6 @@ package resilience
 import (
 	"context"
 	"errors"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -324,7 +323,9 @@ func invoke[T any](in *invoker, ctx context.Context, unit int, call func(context
 			in.retries.Add(1)
 			in.cRetries.Add(1)
 			prev = in.backoff(unit, attempt, prev)
-			if sleepCtx(ctx, prev) != nil {
+			// A zero backoff returns nil even when ctx is done; the loop's
+			// ctx check ends the rounds then.
+			if detect.Sleep(ctx, prev) != nil {
 				break
 			}
 		}
@@ -503,17 +504,6 @@ func (in *invoker) backoff(unit, attempt int, prev time.Duration) time.Duration 
 	}
 	u := detect.UnitRand(detect.HashKey(in.policy.Seed, in.salt+"/backoff", int64(unit)), uint64(attempt))
 	return lo + time.Duration(u*float64(hi-lo))
-}
-
-func (in *invoker) degradedUnits() []int {
-	in.mu.Lock()
-	out := make([]int, 0, len(in.degraded))
-	for u := range in.degraded {
-		out = append(out, u)
-	}
-	in.mu.Unlock()
-	sort.Ints(out)
-	return out
 }
 
 func (in *invoker) degradedHops() map[int]int {
@@ -789,9 +779,6 @@ func (d *Detector) Detect(v video.FrameIdx, labels []annot.Label) []detect.Detec
 	return dets
 }
 
-// DegradedFrames returns the sorted frame indices served degraded.
-func (d *Detector) DegradedFrames() []int { return d.in.degradedUnits() }
-
 // Recognizer wraps a fallible action recognition backend; the shot-
 // level counterpart of Detector.
 type Recognizer struct {
@@ -808,9 +795,6 @@ func (r *Recognizer) Recognize(s video.ShotIdx, labels []annot.Label) []detect.A
 	scores, _ := r.DetectCtx(r.base, s, labels)
 	return scores
 }
-
-// DegradedShots returns the sorted shot indices served degraded.
-func (r *Recognizer) DegradedShots() []int { return r.in.degradedUnits() }
 
 // prior is the degradation fallback without a configured fallback
 // model: it samples above-threshold results at the prior rate p0 — the
@@ -882,22 +866,4 @@ func (m *Models) Stats() Stats {
 	out := m.Det.Stats()
 	out.Add(m.Rec.Stats())
 	return out
-}
-
-// Degraded reports whether any unit has been served degraded.
-func (m *Models) Degraded() bool { return m.Stats().Fallbacks > 0 }
-
-// sleepCtx waits for d unless ctx fires first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -10,6 +10,7 @@ import (
 	"vaq/internal/annot"
 	"vaq/internal/detect"
 	"vaq/internal/fault"
+	"vaq/internal/ingest"
 	"vaq/internal/interval"
 	"vaq/internal/resilience"
 	"vaq/internal/svaq"
@@ -76,7 +77,7 @@ func TestWrapTransparentOnHealthyBackend(t *testing.T) {
 	if st.Fallbacks != 0 || st.Errors != 0 || st.Retries != 0 {
 		t.Errorf("healthy backend produced resilience events: %+v", st)
 	}
-	if m.Degraded() {
+	if len(m.Det.DegradedHops())+len(m.Rec.DegradedHops()) != 0 {
 		t.Error("healthy backend reported degraded")
 	}
 	if st.BreakerState != "closed" {
@@ -113,8 +114,8 @@ func TestRetriesRecoverTransientFaults(t *testing.T) {
 	if st.Fallbacks != int64(degradedSeen) {
 		t.Errorf("fallbacks counter %d != degraded results seen %d", st.Fallbacks, degradedSeen)
 	}
-	if got := len(d.DegradedFrames()); got != degradedSeen {
-		t.Errorf("DegradedFrames len %d != %d", got, degradedSeen)
+	if got := len(d.DegradedHops()); got != degradedSeen {
+		t.Errorf("DegradedHops len %d != %d", got, degradedSeen)
 	}
 }
 
@@ -240,8 +241,8 @@ func TestPriorRecognizerFallbackShape(t *testing.T) {
 			t.Errorf("score %v outside [0,1]", s.Score)
 		}
 	}
-	if got := r.DegradedShots(); len(got) != 1 || got[0] != 3 {
-		t.Errorf("DegradedShots = %v", got)
+	if got := ingest.DegradedUnits(r.DegradedHops()); len(got) != 1 || got[0] != 3 {
+		t.Errorf("degraded shots = %v", got)
 	}
 }
 
@@ -269,7 +270,7 @@ func TestDeterministicDegradation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return seqs, m.Stats(), m.Det.DegradedFrames()
+		return seqs, m.Stats(), ingest.DegradedUnits(m.Det.DegradedHops())
 	}
 	seqs1, st1, deg1 := run()
 	seqs2, st2, deg2 := run()

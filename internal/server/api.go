@@ -52,8 +52,6 @@ type (
 	HealthzSnapshot       = api.HealthzSnapshot
 	HealthzResponse       = api.HealthzResponse
 	TracezResponse        = api.TracezResponse
-	ErrorBody             = api.ErrorBody
-	ErrorResponse         = api.ErrorResponse
 )
 
 // Ranges converts engine result sequences to the wire shape.

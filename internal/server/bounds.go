@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"vaq"
+	"vaq/internal/api"
 )
 
 // boundRegistry tracks the cross-process B_lo^K exchanges of in-flight
@@ -87,15 +88,15 @@ func (s *Server) handleShardBound(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields() // a misspelled option is an error, not silently ignored
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
 		return
 	}
 	if req.Query == "" {
-		writeErr(w, http.StatusBadRequest, "bad_request", "query id is required", nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_request", "query id is required", nil)
 		return
 	}
 	if req.Bound != nil && (math.IsNaN(*req.Bound) || math.IsInf(*req.Bound, 0)) {
-		writeErr(w, http.StatusBadRequest, "bad_bound", "bound must be finite", nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_bound", "bound must be finite", nil)
 		return
 	}
 	resp := BoundExchangeResponse{}
@@ -104,5 +105,5 @@ func (s *Server) handleShardBound(w http.ResponseWriter, r *http.Request) {
 	if ok && !math.IsInf(cur, -1) {
 		resp.Bound = &cur
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vaq/internal/api"
 	"vaq/internal/fault"
 	"vaq/internal/resilience"
 )
@@ -181,7 +182,7 @@ func TestChaosDeterministicSessions(t *testing.T) {
 func TestTopKDeadline504AndPartial(t *testing.T) {
 	_, ts := startServer(t, Config{Repo: buildRepo(t), RequestTimeout: time.Nanosecond})
 
-	var errResp ErrorResponse
+	var errResp api.ErrorResponse
 	code := doJSON(t, http.MethodPost, ts.URL+"/v1/topk",
 		TopKRequest{Action: "blowing_leaves", K: 3}, &errResp)
 	if code != http.StatusGatewayTimeout {
@@ -228,7 +229,7 @@ func slowSession(t *testing.T, base string) string {
 func TestResultsLongPollDeadline504(t *testing.T) {
 	_, ts := startServer(t, Config{RequestTimeout: 100 * time.Millisecond})
 	id := slowSession(t, ts.URL)
-	var errResp ErrorResponse
+	var errResp api.ErrorResponse
 	code := doJSON(t, http.MethodGet,
 		fmt.Sprintf("%s/v1/sessions/%s/results?wait=5s&since=0", ts.URL, id), nil, &errResp)
 	if code != http.StatusGatewayTimeout {

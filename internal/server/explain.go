@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 
+	"vaq/internal/api"
 	"vaq/internal/explain"
 	"vaq/internal/infer"
 	"vaq/internal/resilience"
@@ -59,12 +60,12 @@ func resilienceDelta(end, start resilience.Stats) explain.ResilienceProfile {
 // first.
 func (s *Server) handleExplainz(w http.ResponseWriter, r *http.Request) {
 	if s.ring == nil {
-		writeErr(w, http.StatusNotFound, "explain_disabled",
+		api.WriteErr(w, http.StatusNotFound, "explain_disabled",
 			"EXPLAIN collection is disabled (-explain-ring negative)", nil)
 		return
 	}
 	profiles := s.ring.Snapshot()
-	writeJSON(w, http.StatusOK, ExplainzResponse{
+	api.WriteJSON(w, http.StatusOK, ExplainzResponse{
 		Total:    s.ring.Total(),
 		Retained: len(profiles),
 		Profiles: profiles,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"vaq"
+	"vaq/internal/api"
 	"vaq/internal/brownout"
 	"vaq/internal/detect"
 	"vaq/internal/explain"
@@ -215,20 +216,13 @@ func New(cfg Config) *Server {
 		})
 	}
 	if cfg.AdaptiveRetries > 0 {
-		// The budget rides the same queue-wait signal as the shed
-		// window: one pool observer feeds both.
-		s.budget = resilience.NewAdaptiveBudget(cfg.AdaptiveRetries)
-		s.reg.Pool().SetObserver(func(w time.Duration) {
-			s.shed.observe(w)
-			s.budget.Observe(w)
-			s.evalBrownout()
-		})
-	} else {
-		s.reg.Pool().SetObserver(func(w time.Duration) {
-			s.shed.observe(w)
-			s.evalBrownout()
-		})
+		// The budget reads the shed window's p90: one load signal.
+		s.budget = resilience.NewAdaptiveBudget(cfg.AdaptiveRetries, s.shed.waitP90)
 	}
+	s.reg.Pool().SetObserver(func(w time.Duration) {
+		s.shed.observe(w)
+		s.evalBrownout()
+	})
 	route := func(pattern string, h http.HandlerFunc) {
 		wrapped := s.met.instrument(pattern, h)
 		s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
@@ -275,14 +269,6 @@ func (s *Server) timed(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // writeCtxErr maps a context failure onto HTTP semantics: a server-side
 // deadline is 504 (the server gave up on its own timeout — the client
 // should know the work was cut short), while a client that went away is
@@ -291,10 +277,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // through them.
 func writeCtxErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
-		writeErr(w, http.StatusGatewayTimeout, "deadline", err.Error(), nil)
+		api.WriteErr(w, http.StatusGatewayTimeout, "deadline", err.Error(), nil)
 		return
 	}
-	writeErr(w, httpStatusClientClosedRequest, "cancelled", err.Error(), nil)
+	api.WriteErr(w, httpStatusClientClosedRequest, "cancelled", err.Error(), nil)
 }
 
 // modeFor maps a brownout ladder level onto the resilience posture it
@@ -335,21 +321,18 @@ func (s *Server) shedIfOverloaded(w http.ResponseWriter) bool {
 	}
 	s.bo.Shed()
 	w.Header().Set("Retry-After", strconv.Itoa(s.shed.shedRetry(s.cfg.Brownout.High)))
-	writeErr(w, http.StatusServiceUnavailable, "overloaded",
+	api.WriteErr(w, http.StatusServiceUnavailable, "overloaded",
 		"brownout ladder at level shed; retry later", nil)
 	return true
 }
 
-// writeErr emits the structured error envelope. Query errors carry the
-// byte offset of the offending token when the vql layer provides one.
-func writeErr(w http.ResponseWriter, status int, code, msg string, queryErr error) {
-	body := ErrorBody{Code: code, Message: msg}
-	if queryErr != nil {
-		if pos, ok := vql.ErrPosition(queryErr); ok {
-			body.Pos = &pos
-		}
+// queryPos is the byte offset of a VQL error's offending token, for
+// the error envelope's pos; nil when the error carries none.
+func queryPos(err error) *int {
+	if pos, ok := vql.ErrPosition(err); ok {
+		return &pos
 	}
-	writeJSON(w, status, ErrorResponse{Error: body})
+	return nil
 }
 
 // workload is loadWorkload once per (name, scale). Generation is
@@ -424,28 +407,28 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields() // a misspelled option is an error, not silently ignored
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
 		return
 	}
 	if req.Scale == 0 {
 		req.Scale = 1
 	}
 	if req.Scale < 0 || req.Scale > 4 {
-		writeErr(w, http.StatusBadRequest, "bad_scale", "scale must be in (0, 4]", nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_scale", "scale must be in (0, 4]", nil)
 		return
 	}
 	if req.MaxClips < 0 || req.PaceMS < 0 {
-		writeErr(w, http.StatusBadRequest, "bad_request", "max_clips and pace_ms must be non-negative", nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_request", "max_clips and pace_ms must be non-negative", nil)
 		return
 	}
 	qs, err := s.workload(req.Workload, req.Scale)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "unknown_workload", err.Error(), nil)
+		api.WriteErr(w, http.StatusBadRequest, "unknown_workload", err.Error(), nil)
 		return
 	}
 	objP, actP, err := modelProfiles(req.Model)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "unknown_model", err.Error(), nil)
+		api.WriteErr(w, http.StatusBadRequest, "unknown_model", err.Error(), nil)
 		return
 	}
 	// The query (when given) parses before any backend is built, so the
@@ -454,11 +437,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if req.Query != "" {
 		plan, err = vaq.ParseQuery(req.Query)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid_query", err.Error(), err)
+			api.WriteErr(w, http.StatusBadRequest, "invalid_query", err.Error(), queryPos(err))
 			return
 		}
 		if plan.Ranked {
-			writeErr(w, http.StatusBadRequest, "ranked_query",
+			api.WriteErr(w, http.StatusBadRequest, "ranked_query",
 				"ORDER BY RANK queries are offline; use POST /v1/topk", nil)
 			return
 		}
@@ -482,7 +465,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	for _, m := range s.cfg.FallbackChain {
 		objFB, actFB, err := modelProfiles(m)
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "bad_fallback_chain", err.Error(), nil)
+			api.WriteErr(w, http.StatusInternalServerError, "bad_fallback_chain", err.Error(), nil)
 			return
 		}
 		chainProfiles = append(chainProfiles, [2]detect.Profile{objFB, actFB})
@@ -561,33 +544,33 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.reg.CreateWith(req, total, build)
 	switch {
 	case errors.Is(err, errTooManySessions):
-		writeErr(w, http.StatusTooManyRequests, "too_many_sessions", err.Error(), nil)
+		api.WriteErr(w, http.StatusTooManyRequests, "too_many_sessions", err.Error(), nil)
 		return
 	case errors.Is(err, errShuttingDown):
-		writeErr(w, http.StatusServiceUnavailable, "shutting_down", err.Error(), nil)
+		api.WriteErr(w, http.StatusServiceUnavailable, "shutting_down", err.Error(), nil)
 		return
 	case err != nil && plan != nil:
 		// A parsed plan that still fails stream construction (e.g. an
 		// unsupported relation inside a disjunction) is the client's
 		// query, not a server fault.
-		writeErr(w, http.StatusBadRequest, "invalid_query", err.Error(), err)
+		api.WriteErr(w, http.StatusBadRequest, "invalid_query", err.Error(), queryPos(err))
 		return
 	case err != nil:
-		writeErr(w, http.StatusInternalServerError, "internal", err.Error(), nil)
+		api.WriteErr(w, http.StatusInternalServerError, "internal", err.Error(), nil)
 		return
 	}
-	writeJSON(w, http.StatusCreated, sess.Info())
+	api.WriteJSON(w, http.StatusCreated, sess.Info())
 }
 
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, SessionList{Sessions: s.reg.List()})
+	api.WriteJSON(w, http.StatusOK, SessionList{Sessions: s.reg.List()})
 }
 
 func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool) {
 	id := r.PathValue("id")
 	sess, ok := s.reg.Get(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "not_found", fmt.Sprintf("no session %q", id), nil)
+		api.WriteErr(w, http.StatusNotFound, "not_found", fmt.Sprintf("no session %q", id), nil)
 		return nil, false
 	}
 	return sess, true
@@ -595,7 +578,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool
 
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 	if sess, ok := s.session(w, r); ok {
-		writeJSON(w, http.StatusOK, sess.Info())
+		api.WriteJSON(w, http.StatusOK, sess.Info())
 	}
 }
 
@@ -608,7 +591,7 @@ func (s *Server) handleSessionResults(w http.ResponseWriter, r *http.Request) {
 	if ws := r.URL.Query().Get("wait"); ws != "" {
 		d, err := time.ParseDuration(ws)
 		if err != nil || d < 0 {
-			writeErr(w, http.StatusBadRequest, "bad_wait", "wait must be a non-negative duration (e.g. 5s)", nil)
+			api.WriteErr(w, http.StatusBadRequest, "bad_wait", "wait must be a non-negative duration (e.g. 5s)", nil)
 			return
 		}
 		wait = min(d, s.cfg.MaxWait)
@@ -617,7 +600,7 @@ func (s *Server) handleSessionResults(w http.ResponseWriter, r *http.Request) {
 	if ss := r.URL.Query().Get("since"); ss != "" {
 		n, err := strconv.Atoi(ss)
 		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad_since", "since must be a non-negative clip count", nil)
+			api.WriteErr(w, http.StatusBadRequest, "bad_since", "since must be a non-negative clip count", nil)
 			return
 		}
 		since = n
@@ -633,14 +616,14 @@ func (s *Server) handleSessionResults(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("explain") == "true" {
 		snap.Explain = sess.ExplainProfile()
 	}
-	writeJSON(w, http.StatusOK, snap)
+	api.WriteJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess, ok := s.reg.Get(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "not_found", fmt.Sprintf("no session %q", id), nil)
+		api.WriteErr(w, http.StatusNotFound, "not_found", fmt.Sprintf("no session %q", id), nil)
 		return
 	}
 	info := sess.Info()
@@ -648,12 +631,12 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	if info.State == StateRunning {
 		info.State = StateCancelled
 	}
-	writeJSON(w, http.StatusOK, info)
+	api.WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Repo == nil {
-		writeErr(w, http.StatusServiceUnavailable, "no_repository",
+		api.WriteErr(w, http.StatusServiceUnavailable, "no_repository",
 			"server started without -repo; offline top-k is unavailable", nil)
 		return
 	}
@@ -664,7 +647,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields() // a misspelled option is an error, not silently ignored
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
 		return
 	}
 	q := vaq.Query{Action: vaq.Label(req.Action)}
@@ -675,12 +658,12 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if req.Query != "" {
 		plan, err := vaq.ParseQuery(req.Query)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid_query", err.Error(), err)
+			api.WriteErr(w, http.StatusBadRequest, "invalid_query", err.Error(), queryPos(err))
 			return
 		}
 		sq, ok := plan.SimpleQuery()
 		if !ok {
-			writeErr(w, http.StatusBadRequest, "invalid_query",
+			api.WriteErr(w, http.StatusBadRequest, "invalid_query",
 				"top-k requires a conjunctive query (one action, object predicates)", nil)
 			return
 		}
@@ -693,16 +676,16 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		k = 5
 	}
 	if err := q.Validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid_query", err.Error(), nil)
+		api.WriteErr(w, http.StatusBadRequest, "invalid_query", err.Error(), nil)
 		return
 	}
 	if req.TimeoutMS < 0 {
-		writeErr(w, http.StatusBadRequest, "bad_timeout", "timeout_ms must be non-negative", nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_timeout", "timeout_ms must be non-negative", nil)
 		return
 	}
 	for _, d := range req.HopDiscounts {
 		if d < 0 || d > 1 {
-			writeErr(w, http.StatusBadRequest, "bad_discount", "hop_discounts entries must be in [0, 1]", nil)
+			api.WriteErr(w, http.StatusBadRequest, "bad_discount", "hop_discounts entries must be in [0, 1]", nil)
 			return
 		}
 	}
@@ -763,13 +746,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ingest.ErrNotIngested):
-			writeErr(w, http.StatusBadRequest, "unknown_label", err.Error(), nil)
+			api.WriteErr(w, http.StatusBadRequest, "unknown_label", err.Error(), nil)
 		case errors.Is(err, vaq.ErrVideoNotFound):
-			writeErr(w, http.StatusNotFound, "unknown_video", err.Error(), nil)
+			api.WriteErr(w, http.StatusNotFound, "unknown_video", err.Error(), nil)
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			writeCtxErr(w, err)
 		default:
-			writeErr(w, http.StatusInternalServerError, "topk_failed", err.Error(), nil)
+			api.WriteErr(w, http.StatusInternalServerError, "topk_failed", err.Error(), nil)
 		}
 		return
 	}
@@ -796,7 +779,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			resp.Explain = &p
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // cpuOrWall picks the engine CPU time when the run fanned out, falling
@@ -858,11 +841,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("history") == "true" {
 		resp.History = hist
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, MetricsResponse{
+	api.WriteJSON(w, http.StatusOK, MetricsResponse{
 		Routes:         s.met.snapshot(),
 		ActiveSessions: s.reg.Active(),
 		TotalSessions:  s.reg.Total(),
@@ -896,7 +879,7 @@ func hedgeLatencies(tr *trace.Tracer) map[string]trace.StageStats {
 // and the numbers it explains come from one endpoint.
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	tr := s.cfg.Tracer
-	writeJSON(w, http.StatusOK, TracezResponse{
+	api.WriteJSON(w, http.StatusOK, TracezResponse{
 		TotalSpans: tr.TotalSpans(),
 		Retained:   len(tr.Spans()),
 		Counters:   tr.Counters(),

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"vaq"
+	"vaq/internal/api"
 	"vaq/internal/detect"
 	"vaq/internal/synth"
 )
@@ -390,7 +391,7 @@ func TestCreateErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var resp ErrorResponse
+			var resp api.ErrorResponse
 			code := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", c.req, &resp)
 			if code != c.code {
 				t.Fatalf("status %d, want %d (%+v)", code, c.code, resp)
@@ -424,7 +425,7 @@ func TestUnknownJSONFieldsRejected(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var resp ErrorResponse
+			var resp api.ErrorResponse
 			code := doJSON(t, http.MethodPost, ts.URL+c.path, json.RawMessage(c.body), &resp)
 			if code != c.code {
 				t.Fatalf("status %d, want %d (%+v)", code, c.code, resp)
@@ -449,7 +450,7 @@ func TestSessionLimit(t *testing.T) {
 		}
 		ids = append(ids, created.ID)
 	}
-	var resp ErrorResponse
+	var resp api.ErrorResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions",
 		CreateSessionRequest{Workload: "q2", Scale: 0.02}, &resp); code != http.StatusTooManyRequests {
 		t.Fatalf("third create status %d, want 429", code)
@@ -472,7 +473,7 @@ func TestSessionLimit(t *testing.T) {
 
 func TestTopKWithoutRepository(t *testing.T) {
 	_, ts := startServer(t, Config{})
-	var resp ErrorResponse
+	var resp api.ErrorResponse
 	code := doJSON(t, http.MethodPost, ts.URL+"/v1/topk",
 		TopKRequest{Action: "smoking", K: 3}, &resp)
 	if code != http.StatusServiceUnavailable || resp.Error.Code != "no_repository" {
@@ -482,7 +483,7 @@ func TestTopKWithoutRepository(t *testing.T) {
 
 func TestTopKUnknownVideo(t *testing.T) {
 	_, ts := startServer(t, Config{Repo: buildRepo(t)})
-	var resp ErrorResponse
+	var resp api.ErrorResponse
 	code := doJSON(t, http.MethodPost, ts.URL+"/v1/topk",
 		TopKRequest{Video: "nope", Action: "blowing_leaves", K: 3}, &resp)
 	if code != http.StatusNotFound {
@@ -495,7 +496,7 @@ func TestTopKUnknownLabel(t *testing.T) {
 	// "smoking" is a valid label never ingested into the test repository:
 	// a client error (400), not a server failure, on both topk paths.
 	for _, video := range []string{"q2", ""} {
-		var resp ErrorResponse
+		var resp api.ErrorResponse
 		code := doJSON(t, http.MethodPost, ts.URL+"/v1/topk",
 			TopKRequest{Video: video, Action: "smoking", Objects: []string{"car"}, K: 3}, &resp)
 		if code != http.StatusBadRequest || resp.Error.Code != "unknown_label" {
@@ -520,7 +521,7 @@ func TestTopKTableReadFailure(t *testing.T) {
 	}
 	_, ts := startServer(t, Config{Repo: repo})
 	for _, video := range []string{"q2", ""} {
-		var resp ErrorResponse
+		var resp api.ErrorResponse
 		code := doJSON(t, http.MethodPost, ts.URL+"/v1/topk",
 			TopKRequest{Video: video, Action: "blowing_leaves", Objects: []string{"car"}, K: 3}, &resp)
 		if code != http.StatusInternalServerError || resp.Error.Code != "topk_failed" {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vaq/internal/brownout"
+	"vaq/internal/resilience"
 )
 
 func jsonBody(t *testing.T, v any) io.Reader {
@@ -61,6 +62,24 @@ func TestShedWindow(t *testing.T) {
 	}
 	if sw.Sheds() != 2 {
 		t.Fatalf("Sheds = %d, want 2", sw.Sheds())
+	}
+	// Overfill the ring: the sample count saturates at the ring size,
+	// the newest samples dominate, and a budget reading the window
+	// sees the heat.
+	for i := 0; i < shedRing+50; i++ {
+		sw.observe(2 * time.Millisecond)
+	}
+	sw.mu.Lock()
+	n := sw.count
+	sw.mu.Unlock()
+	if n != shedRing {
+		t.Errorf("ring holds %d samples after overfill, want %d", n, shedRing)
+	}
+	if p90, ok := sw.waitP90(); !ok || p90 != 2*time.Millisecond {
+		t.Errorf("overfilled waitP90 = %v, %v; want 2ms, true", p90, ok)
+	}
+	if got := resilience.NewAdaptiveBudget(time.Millisecond, sw.waitP90).Retries(5); got != 0 {
+		t.Errorf("overfilled hot budget Retries(5) = %d, want 0", got)
 	}
 
 	var nilSW *shedWindow

@@ -93,7 +93,8 @@ func newClient(b Backend, hc *http.Client, breaker *resilience.Breaker, hedge ti
 type callResult struct {
 	status int
 	body   []byte
-	hedged bool // the winning response came from a hedge replica
+	hedged bool          // the winning response came from a hedge replica
+	dur    time.Duration // the logical call's wall time (set by call)
 	err    error
 }
 
@@ -146,8 +147,7 @@ func (c *client) doHedged(ctx context.Context, method, path string, body []byte)
 	timer := time.NewTimer(c.hedge)
 	defer timer.Stop()
 	outstanding, launchedHedge := 1, false
-	var firstErr callResult
-	hasErr := false
+	var firstErr *callResult
 	for {
 		select {
 		case r := <-ch:
@@ -155,27 +155,21 @@ func (c *client) doHedged(ctx context.Context, method, path string, body []byte)
 			if r.err == nil {
 				return r
 			}
-			if !hasErr {
-				firstErr, hasErr = r, true
+			if firstErr == nil {
+				firstErr = &r
 			}
-			if !launchedHedge {
-				timer.Stop()
-				c.hedges.Add(1)
-				c.tcHedges.Add(1)
-				run(true)
-				launchedHedge = true
-				outstanding++
-			} else if outstanding == 0 {
-				return firstErr
+			if launchedHedge && outstanding == 0 {
+				return *firstErr
 			}
 		case <-timer.C:
-			if !launchedHedge {
-				c.hedges.Add(1)
-				c.tcHedges.Add(1)
-				run(true)
-				launchedHedge = true
-				outstanding++
-			}
+		}
+		if !launchedHedge { // the delay passed, or the primary failed fast
+			timer.Stop()
+			c.hedges.Add(1)
+			c.tcHedges.Add(1)
+			run(true)
+			launchedHedge = true
+			outstanding++
 		}
 	}
 }
@@ -189,12 +183,14 @@ func (c *client) call(ctx context.Context, method, path string, body []byte, hed
 		return callResult{}, errBreakerOpen
 	}
 	c.calls.Add(1)
+	start := time.Now()
 	var r callResult
 	if hedged {
 		r = c.doHedged(ctx, method, path, body)
 	} else {
 		r = c.attempt(ctx, method, path, body)
 	}
+	r.dur = time.Since(start)
 	if r.err != nil || r.status >= 500 {
 		c.failures.Add(1)
 		c.breaker.Failure()

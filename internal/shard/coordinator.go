@@ -1,13 +1,16 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,7 +20,9 @@ import (
 
 	"vaq/internal/api"
 	"vaq/internal/explain"
+	"vaq/internal/ingest"
 	"vaq/internal/resilience"
+	"vaq/internal/rvaq"
 	"vaq/internal/trace"
 	"vaq/internal/vql"
 )
@@ -143,9 +148,9 @@ func New(cfg Config) (*Coordinator, error) {
 	co.mux.HandleFunc("POST /v1/topk", co.handleTopK)
 	co.mux.HandleFunc("POST /v1/sessions", co.handleCreateSession)
 	co.mux.HandleFunc("GET /v1/sessions", co.handleListSessions)
-	co.mux.HandleFunc("GET /v1/sessions/{id}", co.handleSessionGet)
+	co.mux.HandleFunc("GET /v1/sessions/{id}", co.handleSession)
 	co.mux.HandleFunc("GET /v1/sessions/{id}/results", co.handleSessionResults)
-	co.mux.HandleFunc("DELETE /v1/sessions/{id}", co.handleSessionDelete)
+	co.mux.HandleFunc("DELETE /v1/sessions/{id}", co.handleSession)
 	co.mux.HandleFunc("GET /healthz", co.handleHealthz)
 	co.mux.HandleFunc("GET /metricsz", co.handleMetricsz)
 	co.mux.HandleFunc("GET /explainz", co.handleExplainz)
@@ -160,18 +165,6 @@ func (co *Coordinator) Handler() http.Handler { return co.mux }
 // tooling).
 func (co *Coordinator) Ring() *Ring { return co.ring }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, code, msg string, pos *int) {
-	writeJSON(w, status, api.ErrorResponse{Error: api.ErrorBody{Code: code, Message: msg, Pos: pos}})
-}
-
 // copyResponse relays a shard's response verbatim (status + JSON body).
 func copyResponse(w http.ResponseWriter, res callResult) {
 	w.Header().Set("Content-Type", "application/json")
@@ -179,14 +172,25 @@ func copyResponse(w http.ResponseWriter, res callResult) {
 	_, _ = w.Write(res.body)
 }
 
-// writeShardFailure maps a failed single-shard call onto the gateway
-// error vocabulary.
-func (co *Coordinator) writeShardFailure(w http.ResponseWriter, cl *client, err error) {
+// forward runs one call routed to a single shard under RequestTimeout.
+// A failed call (transport error, open breaker) is answered here with
+// the gateway error and reported as false.
+func (co *Coordinator) forward(w http.ResponseWriter, r *http.Request, cl *client, method, path string, body []byte, hedged bool) (callResult, bool) {
+	co.cRouted.Add(1)
+	co.cCalls.Add(1)
+	ctx, cancel := context.WithTimeout(r.Context(), co.cfg.RequestTimeout)
+	defer cancel()
+	res, err := cl.call(ctx, method, path, body, hedged)
+	if err == nil {
+		return res, true
+	}
+	co.cFailures.Add(1)
 	if err == errBreakerOpen {
 		co.cBreakerSkips.Add(1)
 	}
-	writeErr(w, http.StatusBadGateway, "shard_unavailable",
+	api.WriteErr(w, http.StatusBadGateway, "shard_unavailable",
 		fmt.Sprintf("shard %s (%s): %v", cl.backend.Name, cl.backend.Addr, err), nil)
+	return res, false
 }
 
 // ---- top-k ----
@@ -196,11 +200,11 @@ func (co *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields() // a misspelled option is an error, not silently ignored
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
 		return
 	}
 	if req.BoundQuery != "" {
-		writeErr(w, http.StatusBadRequest, "bad_request",
+		api.WriteErr(w, http.StatusBadRequest, "bad_request",
 			"bound_query is shard-internal; the coordinator mints its own exchange ids", nil)
 		return
 	}
@@ -213,42 +217,15 @@ func (co *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 
 // routeTopK proxies a video-pinned query to the owning shard.
 func (co *Coordinator) routeTopK(w http.ResponseWriter, r *http.Request, req api.TopKRequest) {
-	co.cRouted.Add(1)
-	co.cCalls.Add(1)
-	cl := co.clients[co.ring.OwnerIndex(req.Video)]
-	body, err := json.Marshal(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_json", err.Error(), nil)
-		return
+	body, _ := json.Marshal(req) // a decoded request re-encodes without error
+	if res, ok := co.forward(w, r, co.clients[co.ring.OwnerIndex(req.Video)], http.MethodPost, "/v1/topk", body, true); ok {
+		copyResponse(w, res)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), co.cfg.RequestTimeout)
-	defer cancel()
-	res, err := cl.call(ctx, http.MethodPost, "/v1/topk", body, true)
-	if err != nil {
-		co.cFailures.Add(1)
-		co.writeShardFailure(w, cl, err)
-		return
-	}
-	copyResponse(w, res)
 }
 
-// legResult is one shard's answer to a scattered top-k.
-type legResult struct {
-	resp    api.TopKResponse
-	ok      bool
-	status  int
-	errBody *api.ErrorBody
-	err     error
-	hedged  bool
-	dur     time.Duration
-}
-
-// scatterTopK fans a global top-k out to every shard, runs the bound
-// broadcast while the legs are in flight, and merges the survivors'
-// rankings deterministically (score desc, then video, then start clip
-// — the same total order the single-process merge uses, so a scatter
-// over any partition of the repository is byte-identical to the union
-// run).
+// scatterTopK runs a global top-k as one remote leg per shard of
+// rvaq.Scatter, whose merge is the single-process one: a scatter over
+// any partition of the repository is byte-identical to the union run.
 func (co *Coordinator) scatterTopK(w http.ResponseWriter, r *http.Request, req api.TopKRequest) {
 	co.cScatters.Add(1)
 	start := time.Now()
@@ -264,7 +241,7 @@ func (co *Coordinator) scatterTopK(w http.ResponseWriter, r *http.Request, req a
 			if p, ok := vql.ErrPosition(err); ok {
 				pos = &p
 			}
-			writeErr(w, http.StatusBadRequest, "invalid_query", err.Error(), pos)
+			api.WriteErr(w, http.StatusBadRequest, "invalid_query", err.Error(), pos)
 			return
 		}
 		if plan.K > 0 {
@@ -282,236 +259,157 @@ func (co *Coordinator) scatterTopK(w http.ResponseWriter, r *http.Request, req a
 	// attributes engine counters per shard exactly; stripped from the
 	// client response unless it asked.
 	shardReq.Explain = true
-	broadcast := co.cfg.BroadcastEvery > 0 && len(co.clients) > 1
-	if broadcast {
+	if co.cfg.BroadcastEvery > 0 && len(co.clients) > 1 {
 		shardReq.BoundQuery = co.salt + "-" + qid
 	}
-	body, err := json.Marshal(shardReq)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_json", err.Error(), nil)
-		return
-	}
+	body, _ := json.Marshal(shardReq) // a decoded request re-encodes without error
 
 	ctx, cancel := context.WithTimeout(r.Context(), co.cfg.RequestTimeout)
 	defer cancel()
-	legs := make([]legResult, len(co.clients))
-	var wg sync.WaitGroup
+	n := len(co.clients)
+	calls, resps := make([]callResult, n), make([]api.TopKResponse, n)
+	legs := make([]rvaq.Leg[api.TopKEntry], n)
 	for i, cl := range co.clients {
-		wg.Add(1)
-		go func(i int, cl *client) {
-			defer wg.Done()
-			legs[i] = co.topkLeg(ctx, cl, body)
-		}(i, cl)
+		legs[i] = co.topkLeg(cl, body, shardReq.BoundQuery, &calls[i], &resps[i])
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	if broadcast {
-		co.broadcastBounds(ctx, shardReq.BoundQuery, done)
-	}
-	<-done
-
-	co.mergeTopK(w, req, k, qid, legs, start)
-}
-
-// topkLeg runs one scatter leg against one shard.
-func (co *Coordinator) topkLeg(ctx context.Context, cl *client, body []byte) legResult {
-	co.cCalls.Add(1)
-	legStart := time.Now()
-	res, err := cl.call(ctx, http.MethodPost, "/v1/topk", body, true)
-	lr := legResult{err: err, status: res.status, hedged: res.hedged, dur: time.Since(legStart)}
-	if err != nil {
-		if err == errBreakerOpen {
-			co.cBreakerSkips.Add(1)
-		}
-		co.cFailures.Add(1)
-		return lr
-	}
-	if res.status != http.StatusOK {
-		if res.status >= 500 {
-			co.cFailures.Add(1)
-		}
-		var eresp api.ErrorResponse
-		if json.Unmarshal(res.body, &eresp) == nil && eresp.Error.Code != "" {
-			lr.errBody = &eresp.Error
-		}
-		return lr
-	}
-	if err := json.Unmarshal(res.body, &lr.resp); err != nil {
-		lr.err = fmt.Errorf("decoding shard response: %w", err)
-		co.cFailures.Add(1)
-		return lr
-	}
-	lr.ok = true
-	return lr
-}
-
-// broadcastBounds drives the cross-shard B_lo^K exchange for one
-// scatter: every BroadcastEvery it walks the shards, pushing the best
-// bound seen so far and folding each shard's reply into the running
-// maximum, until every leg has finished. A shard's exported bound is a
-// sound global lower bound on the k-th best score (its candidate set is
-// a subset of the fleet's — see rvaq.GlobalBound), and the fold is a
-// monotone max, so the broadcast can only tighten pruning: it changes
-// work counts, never results. Pushes are best-effort and bypass the
-// breakers — a missed round costs pruning opportunity, nothing else.
-func (co *Coordinator) broadcastBounds(ctx context.Context, id string, done <-chan struct{}) {
-	ticker := time.NewTicker(co.cfg.BroadcastEvery)
-	defer ticker.Stop()
-	best := math.Inf(-1)
-	for {
-		select {
-		case <-done:
-			return
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			for _, cl := range co.clients {
-				breq := api.BoundExchangeRequest{Query: id}
-				if !math.IsInf(best, -1) {
-					b := best
-					breq.Bound = &b
-				}
-				pbody, err := json.Marshal(breq)
-				if err != nil {
-					continue
-				}
-				pctx, cancel := context.WithTimeout(ctx, co.cfg.ProbeTimeout)
-				res := cl.attempt(pctx, http.MethodPost, "/v1/shard/bound", pbody)
-				cancel()
-				if res.err != nil || res.status != http.StatusOK {
-					continue
-				}
-				var br api.BoundExchangeResponse
-				if json.Unmarshal(res.body, &br) != nil {
-					continue
-				}
-				if br.Bound != nil && *br.Bound > best {
-					best = *br.Bound
-				}
-			}
-			co.cBoundRounds.Add(1)
-		}
-	}
-}
-
-// mergeTopK classifies the legs and writes the merged response.
-func (co *Coordinator) mergeTopK(w http.ResponseWriter, req api.TopKRequest, k int, qid string, legs []legResult, start time.Time) {
-	var (
-		entries      []api.TopKEntry
-		resp         api.TopKResponse
-		okCount      int
-		failedCount  int
-		notIngested  int
-		clientErr    *legResult
-		unknownLabel *api.ErrorBody
-	)
-	for i := range legs {
-		lr := &legs[i]
-		switch {
-		case lr.ok:
-			okCount++
-			entries = append(entries, lr.resp.Results...)
-			resp.RandomAccesses += lr.resp.RandomAccesses
-			resp.Candidates += lr.resp.Candidates
-			resp.DegradedClips += lr.resp.DegradedClips
-			if lr.resp.CPURuntimeUS > 0 {
-				resp.CPURuntimeUS += lr.resp.CPURuntimeUS
-			} else {
-				resp.CPURuntimeUS += lr.resp.RuntimeUS
-			}
-			resp.Incomplete = resp.Incomplete || lr.resp.Incomplete
-		case lr.err != nil:
-			failedCount++
-		case lr.status == http.StatusBadRequest && lr.errBody != nil && lr.errBody.Code == "unknown_label":
-			// This shard's partition simply has no clips under the
-			// label — a no-contribution answer, not a failure, unless
-			// every shard says so.
-			notIngested++
-			if unknownLabel == nil {
-				unknownLabel = lr.errBody
-			}
-		case lr.status >= 400 && lr.status < 500:
-			// The request itself is bad; every healthy shard would give
-			// the same verdict. Relay the first one.
-			if clientErr == nil {
-				clientErr = lr
-			}
-		default:
-			failedCount++ // 5xx (shed, deadline, crash) or malformed
-		}
-	}
-
+	m, err := rvaq.Scatter(ctx, rvaq.NewGlobalBound(k), k, req.Partial, entryRank, legs)
 	switch {
-	case clientErr != nil:
-		var pos *int
-		code, msg := "shard_error", fmt.Sprintf("shard returned http %d", clientErr.status)
-		if clientErr.errBody != nil {
-			code, msg, pos = clientErr.errBody.Code, clientErr.errBody.Message, clientErr.errBody.Pos
-		}
-		writeErr(w, clientErr.status, code, msg, pos)
+	case m.Failed == n:
+		api.WriteErr(w, http.StatusBadGateway, "shards_unavailable",
+			fmt.Sprintf("no shard answered (%d of %d failed)", m.Failed, n), nil)
 		return
-	case okCount == 0 && notIngested == 0:
-		writeErr(w, http.StatusBadGateway, "shards_unavailable",
-			fmt.Sprintf("no shard answered (%d of %d failed)", failedCount, len(co.clients)), nil)
+	case errors.Is(err, rvaq.ErrLegFailed):
+		api.WriteErr(w, http.StatusBadGateway, "shard_failed",
+			fmt.Sprintf("%d of %d shards failed; set partial=true to accept the survivors' merged results", m.Failed, n), nil)
 		return
-	case failedCount > 0 && !req.Partial:
-		writeErr(w, http.StatusBadGateway, "shard_failed",
-			fmt.Sprintf("%d of %d shards failed; set partial=true to accept the survivors' merged results", failedCount, len(co.clients)), nil)
-		return
-	case okCount == 0 && failedCount == 0:
-		// Every shard answered unknown_label: the label genuinely is not
-		// ingested anywhere.
-		writeErr(w, http.StatusBadRequest, unknownLabel.Code, unknownLabel.Message, nil)
+	case err != nil:
+		// A 4xx the request itself earned, or unknown_label from every
+		// shard: relay the deciding shard's answer verbatim.
+		copyResponse(w, calls[slices.Index(m.Errs, err)])
 		return
 	}
-	if failedCount > 0 {
-		resp.Incomplete = true
+
+	resp := api.TopKResponse{Results: m.Results, Incomplete: m.Failed > 0}
+	for i, lr := range resps {
+		if m.Errs[i] == nil {
+			resp.RandomAccesses += lr.RandomAccesses
+			resp.Candidates += lr.Candidates
+			resp.DegradedClips += lr.DegradedClips
+			resp.CPURuntimeUS += cmp.Or(lr.CPURuntimeUS, lr.RuntimeUS)
+			resp.Incomplete = resp.Incomplete || lr.Incomplete
+		}
+	}
+	if m.Failed > 0 {
 		co.cPartials.Add(1)
 	}
-
-	// The same total order the single-process global merge uses — with
-	// it, the scatter is byte-identical to the union run.
-	sort.Slice(entries, func(a, b int) bool {
-		ea, eb := entries[a], entries[b]
-		if ea.Score != eb.Score {
-			return ea.Score > eb.Score
-		}
-		if ea.Video != eb.Video {
-			return ea.Video < eb.Video
-		}
-		return ea.Seq.Lo < eb.Seq.Lo
-	})
-	if len(entries) > k {
-		entries = entries[:k]
-	}
-	if entries == nil {
-		entries = []api.TopKEntry{}
-	}
-	resp.Results = entries
 	resp.RuntimeUS = time.Since(start).Microseconds()
-
 	if co.exRing != nil || req.Explain {
-		p := co.assembleExplain(req, k, qid, legs, start)
+		p := co.assembleExplain(req, k, qid, calls, resps, m.Errs, start)
 		co.exRing.Add(p)
 		if req.Explain {
 			resp.Explain = &p
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
+}
+
+// entryRank places an entry in the engine's total order (rvaq.Scatter).
+func entryRank(e api.TopKEntry) (float64, string, int) { return e.Score, e.Video, e.Seq.Lo }
+
+// topkLeg is one shard's leg of a global top-k: the hedged,
+// breaker-guarded call, trading bounds while in flight when boundID is
+// set, with the exchange kept in *res and the answer in *resp. Its
+// error classifies it: unknown_label is ingest.ErrNotIngested; a
+// transport failure, 5xx or malformed body is rvaq.ErrLegFailed; any
+// other 4xx is fatal.
+func (co *Coordinator) topkLeg(cl *client, body []byte, boundID string, res *callResult, resp *api.TopKResponse) rvaq.Leg[api.TopKEntry] {
+	return func(ctx context.Context, gb *rvaq.GlobalBound) ([]api.TopKEntry, error) {
+		if boundID != "" {
+			defer co.tradeBounds(ctx, cl, boundID, gb)()
+		}
+		co.cCalls.Add(1)
+		var err error
+		if *res, err = cl.call(ctx, http.MethodPost, "/v1/topk", body, true); err != nil {
+			if err == errBreakerOpen {
+				co.cBreakerSkips.Add(1)
+			}
+			co.cFailures.Add(1)
+			return nil, fmt.Errorf("%w: %w", rvaq.ErrLegFailed, err)
+		}
+		if res.status == http.StatusOK {
+			if err := json.Unmarshal(res.body, resp); err != nil {
+				co.cFailures.Add(1)
+				return nil, fmt.Errorf("%w: decoding shard response: %w", rvaq.ErrLegFailed, err)
+			}
+			return resp.Results, nil
+		}
+		var eresp api.ErrorResponse
+		_ = json.Unmarshal(res.body, &eresp)
+		reason := cmp.Or(eresp.Error.Code, fmt.Sprintf("http %d", res.status))
+		switch {
+		case res.status == http.StatusBadRequest && reason == "unknown_label":
+			return nil, fmt.Errorf("%s: %w", reason, ingest.ErrNotIngested)
+		case res.status >= 400 && res.status < 500:
+			return nil, errors.New(reason)
+		case res.status >= 500:
+			co.cFailures.Add(1)
+		}
+		return nil, fmt.Errorf("%w: %s", rvaq.ErrLegFailed, reason)
+	}
+}
+
+// tradeBounds runs one leg's side of the cross-shard B_lo^K exchange:
+// every BroadcastEvery it pushes the scatter's shared bound to the
+// shard and raises the reply into it (a monotone max of sound bounds,
+// so it changes work counts, never results; see docs/SHARDING.md).
+// Pushes are best-effort and bypass the breaker. The returned stop
+// cancels a push in flight and waits for the exchange to end.
+func (co *Coordinator) tradeBounds(ctx context.Context, cl *client, id string, gb *rvaq.GlobalBound) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(co.cfg.BroadcastEvery)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+			}
+			breq := api.BoundExchangeRequest{Query: id}
+			if b := gb.Bound(); !math.IsInf(b, -1) {
+				breq.Bound = &b
+			}
+			pbody, _ := json.Marshal(breq) // a string and a finite float
+			pctx, pcancel := context.WithTimeout(ctx, co.cfg.ProbeTimeout)
+			res := cl.attempt(pctx, http.MethodPost, "/v1/shard/bound", pbody)
+			pcancel()
+			var br api.BoundExchangeResponse
+			if res.err != nil || res.status != http.StatusOK || json.Unmarshal(res.body, &br) != nil {
+				continue
+			}
+			if br.Bound != nil {
+				gb.Raise(*br.Bound)
+			}
+			co.cBoundRounds.Add(1)
+		}
+	}()
+	return func() { cancel(); <-done }
 }
 
 // assembleExplain builds the coordinator's EXPLAIN profile: one
 // ShardProfile per leg, whose fold (explain.Collector.AddShard) keeps
 // the merged TopK section the exact field-wise sum of the per-shard
 // engine counters — the cross-process reconciliation invariant.
-func (co *Coordinator) assembleExplain(req api.TopKRequest, k int, qid string, legs []legResult, start time.Time) explain.Profile {
+func (co *Coordinator) assembleExplain(req api.TopKRequest, k int, qid string, calls []callResult, resps []api.TopKResponse, errs []error, start time.Time) explain.Profile {
 	col := explain.NewCollector("coordinator")
 	col.SetID(qid)
 	col.SetQuery(req.Query)
 	col.SetWorkload("global")
 	col.TopKConfigure(k)
-	for i := range legs {
-		col.AddShard(shardProfile(co.clients[i], &legs[i]))
+	for i, cl := range co.clients {
+		col.AddShard(shardProfile(cl, calls[i], &resps[i], errs[i]))
 	}
 	col.SetDurUS(time.Since(start).Microseconds())
 	return col.Profile()
@@ -521,30 +419,22 @@ func (co *Coordinator) assembleExplain(req api.TopKRequest, k int, qid string, l
 // Failed legs carry the reason and zero cost; healthy legs prefer the
 // shard's inline profile (exact engine counters) over the response
 // aggregates.
-func shardProfile(cl *client, lr *legResult) explain.ShardProfile {
+func shardProfile(cl *client, res callResult, resp *api.TopKResponse, err error) explain.ShardProfile {
 	sp := explain.ShardProfile{
 		Shard:  cl.backend.Name,
 		Addr:   cl.backend.Addr,
-		DurUS:  lr.dur.Microseconds(),
-		Hedged: lr.hedged,
+		DurUS:  res.dur.Microseconds(),
+		Hedged: res.hedged,
 	}
-	if !lr.ok {
-		sp.Failed = true
-		switch {
-		case lr.err != nil:
-			sp.Error = lr.err.Error()
-		case lr.errBody != nil:
-			sp.Error = lr.errBody.Code
-		default:
-			sp.Error = fmt.Sprintf("http %d", lr.status)
-		}
+	if err != nil {
+		sp.Failed, sp.Error = true, err.Error()
 		return sp
 	}
-	sp.Results = len(lr.resp.Results)
-	sp.Candidates = lr.resp.Candidates
-	sp.RandomAccesses = lr.resp.RandomAccesses
-	sp.Incomplete = lr.resp.Incomplete
-	if ex := lr.resp.Explain; ex != nil && ex.TopK != nil {
+	sp.Results = len(resp.Results)
+	sp.Candidates = resp.Candidates
+	sp.RandomAccesses = resp.RandomAccesses
+	sp.Incomplete = resp.Incomplete
+	if ex := resp.Explain; ex != nil && ex.TopK != nil {
 		tk := ex.TopK
 		sp.Candidates = tk.Candidates
 		sp.Iterations = tk.Iterations
@@ -584,28 +474,17 @@ func (co *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Reques
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields() // a misspelled option is an error, not silently ignored
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error(), nil)
 		return
 	}
 	if req.Workload == "" {
-		writeErr(w, http.StatusBadRequest, "bad_request", "workload is required", nil)
+		api.WriteErr(w, http.StatusBadRequest, "bad_request", "workload is required", nil)
 		return
 	}
-	co.cRouted.Add(1)
-	co.cCalls.Add(1)
 	idx := co.ring.OwnerIndex(req.Workload)
-	cl := co.clients[idx]
-	body, err := json.Marshal(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_json", err.Error(), nil)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), co.cfg.RequestTimeout)
-	defer cancel()
-	res, cerr := cl.call(ctx, http.MethodPost, "/v1/sessions", body, false)
-	if cerr != nil {
-		co.cFailures.Add(1)
-		co.writeShardFailure(w, cl, cerr)
+	body, _ := json.Marshal(req) // a decoded request re-encodes without error
+	res, ok := co.forward(w, r, co.clients[idx], http.MethodPost, "/v1/sessions", body, false)
+	if !ok {
 		return
 	}
 	if res.status != http.StatusCreated {
@@ -614,25 +493,21 @@ func (co *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Reques
 	}
 	var info api.SessionInfo
 	if err := json.Unmarshal(res.body, &info); err != nil {
-		writeErr(w, http.StatusBadGateway, "bad_shard_response", err.Error(), nil)
+		api.WriteErr(w, http.StatusBadGateway, "bad_shard_response", err.Error(), nil)
 		return
 	}
 	info.ID = publicID(idx, info.ID)
-	writeJSON(w, http.StatusCreated, info)
+	api.WriteJSON(w, http.StatusCreated, info)
 }
 
 func (co *Coordinator) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), co.cfg.RequestTimeout)
 	defer cancel()
-	type shardList struct {
-		list api.SessionList
-		ok   bool
-	}
-	lists := make([]shardList, len(co.clients))
+	lists := make([][]api.SessionInfo, len(co.clients))
 	var wg sync.WaitGroup
 	for i, cl := range co.clients {
 		wg.Add(1)
-		go func(i int, cl *client) {
+		go func() {
 			defer wg.Done()
 			co.cCalls.Add(1)
 			res, err := cl.call(ctx, http.MethodGet, "/v1/sessions", nil, false)
@@ -642,31 +517,29 @@ func (co *Coordinator) handleListSessions(w http.ResponseWriter, r *http.Request
 				co.cFailures.Add(1)
 				return
 			}
-			if json.Unmarshal(res.body, &lists[i].list) == nil {
-				lists[i].ok = true
+			var list api.SessionList
+			if json.Unmarshal(res.body, &list) == nil {
+				for _, s := range list.Sessions {
+					s.ID = publicID(i, s.ID)
+					lists[i] = append(lists[i], s)
+				}
 			}
-		}(i, cl)
+		}()
 	}
 	wg.Wait()
 	merged := api.SessionList{Sessions: []api.SessionInfo{}}
-	for i := range lists {
-		if !lists[i].ok {
-			continue
-		}
-		for _, s := range lists[i].list.Sessions {
-			s.ID = publicID(i, s.ID)
-			merged.Sessions = append(merged.Sessions, s)
-		}
+	for _, l := range lists {
+		merged.Sessions = append(merged.Sessions, l...)
 	}
 	sort.Slice(merged.Sessions, func(a, b int) bool { return merged.Sessions[a].ID < merged.Sessions[b].ID })
-	writeJSON(w, http.StatusOK, merged)
+	api.WriteJSON(w, http.StatusOK, merged)
 }
 
 // sessionShard resolves a namespaced session id to its owning shard.
 func (co *Coordinator) sessionShard(w http.ResponseWriter, pub string) (*client, int, string, bool) {
 	idx, id, err := parsePublicID(pub)
 	if err != nil || idx < 0 || idx >= len(co.clients) || id == "" {
-		writeErr(w, http.StatusNotFound, "not_found",
+		api.WriteErr(w, http.StatusNotFound, "not_found",
 			fmt.Sprintf("%q is not a coordinator session id (want <shard>%s<id>)", pub, sessionIDSep), nil)
 		return nil, 0, "", false
 	}
@@ -676,14 +549,8 @@ func (co *Coordinator) sessionShard(w http.ResponseWriter, pub string) (*client,
 // proxySession forwards one session call to the owning shard,
 // re-namespacing the id fields in the known response shapes.
 func (co *Coordinator) proxySession(w http.ResponseWriter, r *http.Request, method, path string, idx int, cl *client) {
-	co.cRouted.Add(1)
-	co.cCalls.Add(1)
-	ctx, cancel := context.WithTimeout(r.Context(), co.cfg.RequestTimeout)
-	defer cancel()
-	res, err := cl.call(ctx, method, path, nil, false)
-	if err != nil {
-		co.cFailures.Add(1)
-		co.writeShardFailure(w, cl, err)
+	res, ok := co.forward(w, r, cl, method, path, nil, false)
+	if !ok {
 		return
 	}
 	if res.status != http.StatusOK {
@@ -696,26 +563,27 @@ func (co *Coordinator) proxySession(w http.ResponseWriter, r *http.Request, meth
 			if rr.ID != "" {
 				rr.ID = publicID(idx, rr.ID)
 			}
-			writeJSON(w, http.StatusOK, rr)
+			api.WriteJSON(w, http.StatusOK, rr)
 			return
 		}
 	} else {
 		var info api.SessionInfo
 		if json.Unmarshal(res.body, &info) == nil {
 			info.ID = publicID(idx, info.ID)
-			writeJSON(w, http.StatusOK, info)
+			api.WriteJSON(w, http.StatusOK, info)
 			return
 		}
 	}
 	copyResponse(w, res)
 }
 
-func (co *Coordinator) handleSessionGet(w http.ResponseWriter, r *http.Request) {
+// handleSession serves GET (status) and DELETE (cancel) of one session.
+func (co *Coordinator) handleSession(w http.ResponseWriter, r *http.Request) {
 	cl, idx, id, ok := co.sessionShard(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
-	co.proxySession(w, r, http.MethodGet, "/v1/sessions/"+url.PathEscape(id), idx, cl)
+	co.proxySession(w, r, r.Method, "/v1/sessions/"+url.PathEscape(id), idx, cl)
 }
 
 func (co *Coordinator) handleSessionResults(w http.ResponseWriter, r *http.Request) {
@@ -730,20 +598,13 @@ func (co *Coordinator) handleSessionResults(w http.ResponseWriter, r *http.Reque
 	co.proxySession(w, r, http.MethodGet, path, idx, cl)
 }
 
-func (co *Coordinator) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	cl, idx, id, ok := co.sessionShard(w, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	co.proxySession(w, r, http.MethodDelete, "/v1/sessions/"+url.PathEscape(id), idx, cl)
-}
-
 // ---- observability ----
 
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), co.cfg.ProbeTimeout)
 	defer cancel()
 	resp := api.CoordHealthzResponse{Shards: make([]api.ShardHealth, len(co.clients))}
+	var up atomic.Int32
 	var wg sync.WaitGroup
 	for i, cl := range co.clients {
 		wg.Add(1)
@@ -770,20 +631,15 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 					sh.OK = true
 					sh.Status = hz.Status
 					sh.BrownoutLevel = hz.BrownoutLevel
+					up.Add(1)
 				}
 			}
 			resp.Shards[i] = sh
 		}(i, cl)
 	}
 	wg.Wait()
-	up := 0
-	for _, sh := range resp.Shards {
-		if sh.OK {
-			up++
-		}
-	}
 	status := http.StatusOK
-	switch {
+	switch up := int(up.Load()); {
 	case up == len(resp.Shards):
 		resp.Status = "ok"
 	case up > 0:
@@ -792,7 +648,7 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "unavailable"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	api.WriteJSON(w, status, resp)
 }
 
 func (co *Coordinator) handleMetricsz(w http.ResponseWriter, r *http.Request) {
@@ -814,17 +670,17 @@ func (co *Coordinator) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			BreakerOpens: cl.breaker.Opens(),
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (co *Coordinator) handleExplainz(w http.ResponseWriter, r *http.Request) {
 	if co.exRing == nil {
-		writeErr(w, http.StatusNotFound, "explain_disabled",
+		api.WriteErr(w, http.StatusNotFound, "explain_disabled",
 			"EXPLAIN collection is disabled (-explain-ring negative)", nil)
 		return
 	}
 	profiles := co.exRing.Snapshot()
-	writeJSON(w, http.StatusOK, api.ExplainzResponse{
+	api.WriteJSON(w, http.StatusOK, api.ExplainzResponse{
 		Total:    co.exRing.Total(),
 		Retained: len(profiles),
 		Profiles: profiles,

@@ -270,6 +270,67 @@ func TestScatterBroadcastDeterminism(t *testing.T) {
 	}
 }
 
+// TestSlowBoundPushDoesNotHoldScatter: a shard whose bound endpoint
+// stalls must not hold a scatter whose legs have all answered. Each
+// leg trades bounds on its own wire, and its exchange ends, the push in
+// flight cancelled, when the leg returns.
+func TestSlowBoundPushDoesNotHoldScatter(t *testing.T) {
+	const stall = time.Second
+	vids, q := corpus(t)
+	all := make([]string, 0, len(vids))
+	for n := range vids {
+		all = append(all, n)
+	}
+	sort.Strings(all)
+	names := []string{"s0", "s1"}
+	ring, err := shard.NewRing(names, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := ring.Partition(all)
+	backends := make([]shard.Backend, len(names))
+	for i, name := range names {
+		srv := server.New(server.Config{Repo: repoWith(t, vids, parts[name])})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/shard/bound":
+				select {
+				case <-time.After(stall):
+				case <-r.Context().Done():
+				}
+				return
+			case "/v1/topk":
+				// Keep the legs in flight past the first bound push.
+				time.Sleep(50 * time.Millisecond)
+			}
+			srv.Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			_ = srv.Shutdown(t.Context())
+		})
+		backends[i] = shard.Backend{Name: name, Addr: ts.URL}
+	}
+	co, err := shard.New(shard.Config{Backends: backends, BroadcastEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coTS := httptest.NewServer(co.Handler())
+	defer coTS.Close()
+
+	start := time.Now()
+	var resp api.TopKResponse
+	if code := doJSON(t, http.MethodPost, coTS.URL+"/v1/topk", topKReq(q, 5), &resp); code != http.StatusOK {
+		t.Fatalf("scatter: status %d", code)
+	}
+	if took := time.Since(start); took > stall/2 {
+		t.Fatalf("scatter took %v: a stalled bound push (%v) held it after its legs answered", took, stall)
+	}
+	if len(resp.Results) == 0 {
+		t.Fatal("scatter returned no results")
+	}
+}
+
 // TestScatterShardDownPartial: with a shard dead, partial=false fails
 // loudly and partial=true returns the survivors' merged ranking flagged
 // Incomplete — deterministically.
@@ -393,6 +454,24 @@ func TestScatterInvalidQuery(t *testing.T) {
 	}
 	if errResp.Error.Code != "invalid_query" {
 		t.Fatalf("invalid query error %+v", errResp.Error)
+	}
+}
+
+// TestScatterRelaysShardRejection: a request every shard rejects with
+// a 4xx of its own (here an out-of-range hop discount, which only the
+// shards validate) comes back with the shard's status and error body.
+func TestScatterRelaysShardRejection(t *testing.T) {
+	c := startCluster(t, 2, nil)
+	_, q := corpus(t)
+	req := topKReq(q, 3)
+	req.HopDiscounts = []float64{2}
+	var got, want api.ErrorResponse
+	code := doJSON(t, http.MethodPost, c.coTS.URL+"/v1/topk", req, &got)
+	if wantCode := doJSON(t, http.MethodPost, c.union.URL+"/v1/topk", req, &want); code != wantCode || wantCode != http.StatusBadRequest {
+		t.Fatalf("coordinator status %d, shard status %d; want both 400", code, wantCode)
+	}
+	if got.Error.Code != "bad_discount" || got != want {
+		t.Fatalf("relayed error %+v, want the shard's %+v", got.Error, want.Error)
 	}
 }
 

@@ -1,15 +1,14 @@
 // Package shard is the multi-process serving tier: it partitions a
 // video repository across N vaqd shard processes by consistent hashing
-// on video id, and fronts them with a thin scatter-gather coordinator
-// that fans /v1/topk out to every shard, merges the rankings
-// deterministically, and periodically broadcasts the fleet's best
-// B_lo^K between shards mid-query so each shard's iterator prunes
-// against remote progress (the over-the-wire generalization of
-// rvaq.GlobalBound). Sessions and video-pinned queries route to the
-// owning shard. The coordinator reuses the resilience vocabulary:
-// hedged shard requests, a per-shard circuit breaker, and partial
-// (Incomplete) merged results when a shard is down or shedding. See
-// docs/SHARDING.md.
+// on video id, and fronts them with a thin coordinator that runs a
+// global /v1/topk as one remote leg per shard of rvaq.Scatter — the
+// same scatter/merge core as the single-process fan-out — each leg
+// trading the shared B_lo^K bound with its shard mid-query so every
+// iterator prunes against remote progress. Sessions and video-pinned
+// queries route to the owning shard. The coordinator reuses the
+// resilience vocabulary: hedged shard requests, a per-shard circuit
+// breaker, and partial (Incomplete) merged results when a shard is
+// down or shedding. See docs/SHARDING.md.
 package shard
 
 import (
@@ -116,9 +115,6 @@ func (r *Ring) OwnerIndex(video string) int {
 
 // Owner returns the name of the shard owning the video id.
 func (r *Ring) Owner(video string) string { return r.names[r.OwnerIndex(video)] }
-
-// Shards returns the shard names in constructor order.
-func (r *Ring) Shards() []string { return append([]string(nil), r.names...) }
 
 // Partition groups video ids by owning shard name (missing shards map
 // to absent keys). Convenience for partitioned ingest and tests.

@@ -280,10 +280,9 @@ func TestTopKGlobalStaleNames(t *testing.T) {
 	}
 }
 
-// TestSortVideoResultsDeterministic asserts the merge order that
-// replaced the insertion sort: score descending, ties broken by video
-// name then sequence start — the order the merged clip-id namespace
-// induces.
+// TestSortVideoResultsDeterministic asserts the scatter core's merge
+// order: score descending, ties broken by video name then sequence
+// start — the order the merged clip-id namespace induces.
 func TestSortVideoResultsDeterministic(t *testing.T) {
 	mk := func(video string, lo int, score float64) VideoTopKResult {
 		return VideoTopKResult{Video: video, TopKResult: TopKResult{Seq: interval.Interval{Lo: lo, Hi: lo + 3}, Score: score}}
@@ -299,13 +298,24 @@ func TestSortVideoResultsDeterministic(t *testing.T) {
 	// Any starting permutation must land on the same order.
 	for shift := 0; shift < len(all); shift++ {
 		perm := append(append([]VideoTopKResult{}, all[shift:]...), all[:shift]...)
-		sortVideoResults(perm)
+		perm = mergeVideoResults(perm, len(perm))
 		for i := range want {
 			if perm[i] != want[i] {
 				t.Fatalf("shift %d rank %d = %+v, want %+v", shift, i, perm[i], want[i])
 			}
 		}
 	}
+}
+
+// mergeVideoResults ranks one list of per-video results through the
+// scatter core (rvaq.Scatter, one leg) and cuts it to k.
+func mergeVideoResults(all []VideoTopKResult, k int) []VideoTopKResult {
+	leg := func(context.Context, *rvaq.GlobalBound) ([]VideoTopKResult, error) { return all, nil }
+	m, err := rvaq.Scatter(context.Background(), rvaq.NewGlobalBound(k), k, false, videoRank, []rvaq.Leg[VideoTopKResult]{leg})
+	if err != nil {
+		panic(err)
+	}
+	return m.Results
 }
 
 // TestTopKCancellation: a cancelled context aborts both entry points

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -673,89 +672,50 @@ func (r *Repository) TopKGlobalOpts(q Query, k int, eo ExecOptions) ([]VideoTopK
 	if gb == nil {
 		gb = rvaq.NewGlobalBound(k)
 	}
-	type shardOut struct {
-		res   []TopKResult
-		stats TopKStats
-		err   error
-	}
 	start := time.Now()
-	outs := make([]shardOut, len(names))
-	var wg sync.WaitGroup
-	for i := range names {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sctx, sspan := trace.Start(ctx, "topk.shard")
-			sspan.SetAttr("video", names[i])
-			sspan.SetInt("shard", int64(i))
-			defer sspan.End()
-			outs[i].err = p.Do(sctx, func() error {
-				opts := eo.rvaqOptions(names[i])
+	stats := make([]TopKStats, len(names))
+	legs := make([]rvaq.Leg[VideoTopKResult], len(names))
+	for i, name := range names {
+		legs[i] = func(ctx context.Context, gb *rvaq.GlobalBound) ([]VideoTopKResult, error) {
+			ctx, span := trace.Start(ctx, "topk.shard")
+			span.SetAttr("video", name)
+			span.SetInt("shard", int64(i))
+			defer span.End()
+			var out []VideoTopKResult
+			err := p.Do(ctx, func() error {
+				opts := eo.rvaqOptions(name)
 				opts.Bound, opts.Shard = gb, i
-				res, stats, err := rvaq.TopKCtx(sctx, videos[i], q, k, opts)
-				outs[i].res, outs[i].stats = res, stats
+				res, st, err := rvaq.TopKCtx(ctx, videos[i], q, k, opts)
+				stats[i], out = st, make([]VideoTopKResult, len(res))
+				for j, r := range res {
+					out[j] = VideoTopKResult{Video: name, TopKResult: r}
+				}
 				return err
 			})
-		}(i)
+			// A video missing the labels keeps the bare error: it is the
+			// query's answer when every video misses them.
+			if err != nil && !errors.Is(err, ingest.ErrNotIngested) {
+				err = fmt.Errorf("vaq: video %q: %w", name, err)
+			}
+			return out, err
+		}
 	}
-	wg.Wait()
-
+	m, err := rvaq.Scatter(ctx, gb, k, eo.Partial, videoRank, legs)
 	var total TopKStats
-	var all []VideoTopKResult
-	notIngested := 0
-	var firstMissing error
-	for i, name := range names {
-		o := &outs[i]
-		if errors.Is(o.err, ingest.ErrNotIngested) {
-			// This video's span would simply be empty in the merged
-			// namespace; remember the error in case no video has the
-			// queried labels at all.
-			notIngested++
-			if firstMissing == nil {
-				firstMissing = o.err
-			}
-			continue
-		}
-		if o.err != nil {
-			// A shard whose deadline fired while queued contributed
-			// nothing; under Partial that makes the merged result
-			// incomplete, not failed.
-			if eo.partialOnDeadline(o.err, &total) {
-				continue
-			}
-			return nil, total, fmt.Errorf("vaq: video %q: %w", name, o.err)
-		}
-		total.Merge(o.stats)
-		for _, sr := range o.res {
-			all = append(all, VideoTopKResult{Video: name, TopKResult: sr})
+	for i, e := range m.Errs {
+		if e == nil {
+			total.Merge(stats[i])
 		}
 	}
-	if notIngested == len(names) {
-		return nil, total, firstMissing
+	if err != nil {
+		return nil, total, err
 	}
-	_, mspan := trace.Start(ctx, "topk.merge")
-	mspan.SetInt("results", int64(len(all)))
-	sortVideoResults(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	mspan.End()
+	// A video whose deadline fired while queued contributed nothing; under
+	// Partial that makes the merged result incomplete, not failed.
+	total.Incomplete = total.Incomplete || m.Failed > 0
 	total.Runtime = time.Since(start)
-	return all, total, nil
+	return m.Results, total, nil
 }
 
-// sortVideoResults orders merged per-video results deterministically:
-// score descending, then video name, then sequence start — the same
-// order the merged clip-id namespace induces (videos are laid out in
-// sorted-name order there).
-func sortVideoResults(all []VideoTopKResult) {
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Score != all[b].Score {
-			return all[a].Score > all[b].Score
-		}
-		if all[a].Video != all[b].Video {
-			return all[a].Video < all[b].Video
-		}
-		return all[a].Seq.Lo < all[b].Seq.Lo
-	})
-}
+// videoRank places a result in the engine's total order (rvaq.Scatter).
+func videoRank(r VideoTopKResult) (float64, string, int) { return r.Score, r.Video, r.Seq.Lo }

@@ -229,10 +229,7 @@ func TestTopKGlobalMatchesPerVideoMerge(t *testing.T) {
 			perVideo = append(perVideo, VideoTopKResult{Video: name, TopKResult: r})
 		}
 	}
-	sortVideoResults(perVideo)
-	if len(perVideo) > 4 {
-		perVideo = perVideo[:4]
-	}
+	perVideo = mergeVideoResults(perVideo, 4)
 	if len(global) != len(perVideo) {
 		t.Fatalf("lengths differ: %d vs %d", len(global), len(perVideo))
 	}
