@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -57,5 +58,56 @@ func TestAdaptiveBudgetTrimsWithHeat(t *testing.T) {
 	p90, ok = 50*time.Millisecond, true
 	if got := b.Retries(4); got != 2 {
 		t.Errorf("half-heat Retries(4) = %d, want 2", got)
+	}
+}
+
+// TestAdaptiveBudgetRingWraps feeds the budget from a fixed-size ring
+// of queue waits, the shape of the daemon's shed window, and overfills
+// it: each Retries call reads the source afresh, so once the ring has
+// wrapped the newest samples alone set the budget, in both directions.
+func TestAdaptiveBudgetRingWraps(t *testing.T) {
+	const size = 16
+	var (
+		ring [size]time.Duration
+		next int
+		n    int
+	)
+	observe := func(d time.Duration) {
+		ring[next] = d
+		next = (next + 1) % size
+		if n < size {
+			n++
+		}
+	}
+	p90 := func() (time.Duration, bool) {
+		if n < size {
+			return 0, false
+		}
+		s := append([]time.Duration(nil), ring[:n]...)
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		return s[(n*9)/10], true
+	}
+	b := NewAdaptiveBudget(time.Millisecond, p90)
+
+	for i := 0; i < size+50; i++ {
+		observe(0)
+	}
+	if got := b.Retries(5); got != 5 {
+		t.Errorf("idle overfilled budget Retries(5) = %d, want 5", got)
+	}
+	for i := 0; i < size+50; i++ {
+		observe(2 * time.Millisecond)
+	}
+	if n != size {
+		t.Errorf("ring holds %d samples after overfill, want %d", n, size)
+	}
+	if got := b.Retries(5); got != 0 {
+		t.Errorf("overfilled hot budget Retries(5) = %d, want 0", got)
+	}
+	for i := 0; i < size; i++ {
+		observe(0)
+	}
+	if got := b.Retries(5); got != 5 {
+		t.Errorf("cooled budget Retries(5) = %d, want 5", got)
 	}
 }
